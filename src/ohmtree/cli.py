@@ -118,11 +118,7 @@ def cmd_spantree(args) -> int:
     elif args.method == "enum":
         t = spantree.count_enumeration(g)
     else:  # vertex-del
-        candidates = [
-            u
-            for u in g.sorted_vertices()
-            if g.n >= 2 and g.delete_vertex(u).is_connected()
-        ]
+        candidates = spantree.removable_vertices(g)
         if not candidates:
             raise PreconditionError("no removable non-cut vertex available")
         t, _ = spantree.vertex_deletion_count(g, candidates[0])
@@ -194,7 +190,12 @@ def cmd_verify(args) -> int:
         f"skipped selections: {skipped or 'none'}",
         file=sys.stderr,
     )
-    return EXIT_FAIL if failures else 0
+    if result.unchecked_tags:
+        print(
+            f"error: no identity checked for tags: {','.join(result.unchecked_tags)}",
+            file=sys.stderr,
+        )
+    return 0 if result.all_passed() else EXIT_FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:

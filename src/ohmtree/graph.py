@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from hashlib import sha256
-from typing import Dict, Hashable, Iterable, List, NamedTuple, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, NamedTuple, Set, Tuple
 
 from .exactnum import rational
 
@@ -281,6 +281,31 @@ class Multigraph:
 
     def bridges(self) -> list:
         return [e for e in self.edge_ids() if self.is_bridge(e)]
+
+    def separates(self, e: EdgeId, s: VertexId, t: VertexId) -> bool:
+        """True iff s and t fall into different components of graph - e."""
+        if s == t:
+            return False
+        comps = self.delete_edge(e).connected_components()
+        return t not in next(c for c in comps if s in c)
+
+    def laplacian_rows(self, conductance: Callable[[Edge], object]) -> list:
+        """Laplacian rows in sorted vertex order: off-diagonal -(sum of
+        ``conductance(edge)`` over the joining edges), diagonal chosen so
+        rows sum to zero.  Self-loops contribute nothing."""
+        idx = {v: i for i, v in enumerate(self.sorted_vertices())}
+        n = len(idx)
+        rows = [[0] * n for _ in range(n)]
+        for e in self.edges():
+            if e.is_loop():
+                continue
+            c = conductance(e)
+            i, j = idx[e.u], idx[e.v]
+            rows[i][j] -= c
+            rows[j][i] -= c
+            rows[i][i] += c
+            rows[j][j] += c
+        return rows
 
     # -- surgery ---------------------------------------------------------
 

@@ -22,8 +22,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Tuple
 
-import numpy as np
-
 from .exactnum import Matrix, SingularMatrixError, rational
 from .graph import (
     DisconnectedError,
@@ -36,25 +34,11 @@ from .graph import (
 
 
 def laplacian(graph: Multigraph) -> Matrix:
-    """Discrete Laplacian: off-diagonal -(sum of 1/L over joining edges),
-    diagonal chosen so rows sum to zero.  Self-loops contribute nothing.
-    Vertices are taken in the graph's sorted order."""
+    """Discrete Laplacian with conductance 1/L per edge, vertices in the
+    graph's sorted order."""
     if not graph.is_connected():
         raise DisconnectedError("laplacian of a disconnected graph")
-    order = graph.sorted_vertices()
-    idx = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for e in graph.edges():
-        if e.is_loop():
-            continue
-        c = 1 / e.length
-        i, j = idx[e.u], idx[e.v]
-        rows[i][j] -= c
-        rows[j][i] -= c
-        rows[i][i] += c
-        rows[j][j] += c
-    return Matrix(rows)
+    return Matrix(graph.laplacian_rows(lambda e: 1 / e.length))
 
 
 def pseudo_inverse(lap: Matrix) -> Matrix:
@@ -153,13 +137,10 @@ class EulerTerm(NamedTuple):
     contribution: Fraction
 
 
-def _edge_separates(graph: Multigraph, e: EdgeId, s: VertexId, t: VertexId) -> bool:
-    """True iff s and t fall into different components of graph - e."""
-    if s == t:
-        return False
-    comps = graph.delete_edge(e).connected_components()
-    comp_s = next(c for c in comps if s in c)
-    return t not in comp_s
+def _bridge_kind(graph: Multigraph, ed, s: VertexId, t: VertexId) -> str:
+    if ed.is_loop() or not graph.is_bridge(ed.id):
+        return "non-bridge"
+    return "bridge-on-path" if graph.separates(ed.id, s, t) else "bridge-off-path"
 
 
 def resistance_derivative(
@@ -173,7 +154,7 @@ def resistance_derivative(
     """
     ed = net.graph.edge(e)
     if net.graph.is_bridge(e):
-        return Fraction(1 if _edge_separates(net.graph, e, s, t) else 0)
+        return Fraction(1 if net.graph.separates(e, s, t) else 0)
     deleted = net.deleted(e)
     diff = deleted.voltage(ed.u, ed.v, s) - deleted.voltage(ed.u, ed.v, t)
     big_r = deleted.resistance(ed.u, ed.v)
@@ -191,14 +172,13 @@ def euler_decomposition(net: Network, s: VertexId, t: VertexId) -> List[EulerTer
     net._i(s), net._i(t)
     terms = []
     for ed in net.graph.edges():
-        if not ed.is_loop() and net.graph.is_bridge(ed.id):
-            if _edge_separates(net.graph, ed.id, s, t):
-                terms.append(EulerTerm(ed.id, "bridge-on-path", ed.length))
-            else:
-                terms.append(EulerTerm(ed.id, "bridge-off-path", Fraction(0)))
-            continue
-        diff = net.voltage(ed.u, ed.v, s) - net.voltage(ed.u, ed.v, t)
-        terms.append(EulerTerm(ed.id, "non-bridge", diff * diff / ed.length))
+        kind = _bridge_kind(net.graph, ed, s, t)
+        if kind == "non-bridge":
+            diff = net.voltage(ed.u, ed.v, s) - net.voltage(ed.u, ed.v, t)
+            c = diff * diff / ed.length
+        else:
+            c = ed.length if kind == "bridge-on-path" else Fraction(0)
+        terms.append(EulerTerm(ed.id, kind, c))
     return terms
 
 
@@ -211,14 +191,7 @@ def euler_decomposition_resistance_only(
     net._i(s), net._i(t)
     terms = []
     for ed in net.graph.edges():
-        if not ed.is_loop() and net.graph.is_bridge(ed.id):
-            kind = (
-                "bridge-on-path"
-                if _edge_separates(net.graph, ed.id, s, t)
-                else "bridge-off-path"
-            )
-        else:
-            kind = "non-bridge"
+        kind = _bridge_kind(net.graph, ed, s, t)
         diff = (
             net.resistance(ed.u, s)
             - net.resistance(ed.v, s)
@@ -274,7 +247,7 @@ def contraction_delta(
     if ed.is_loop():
         return DeltaResult(before, after, Fraction(0))
     if net.graph.is_bridge(e):
-        corr = ed.length if _edge_separates(net.graph, e, s, t) else Fraction(0)
+        corr = ed.length if net.graph.separates(e, s, t) else Fraction(0)
         return DeltaResult(before, after, corr)
     big_r = net.edge_resistance_without(e)
     diff = net.voltage(ed.u, ed.v, s) - net.voltage(ed.u, ed.v, t)
@@ -299,7 +272,7 @@ def edge_modification_delta(
     if net.graph.is_bridge(e):
         corr = (
             ed.length - new_len
-            if _edge_separates(net.graph, e, s, t)
+            if net.graph.separates(e, s, t)
             else Fraction(0)
         )
         return DeltaResult(before, after, corr)
@@ -406,24 +379,18 @@ def float_resistance(
     """Resistance computed with binary floats by the same rank-one-correction
     algorithm.  Used only to cross-check the exact derivative against central
     finite differences; ``length_override`` maps edge ids to float lengths."""
-    order = graph.sorted_vertices()
-    idx = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    lap = np.zeros((n, n))
+    import numpy as np  # only the derivative cross-check needs numpy
+
     override = length_override or {}
-    for ed in graph.edges():
-        if ed.is_loop():
-            continue
-        length = override.get(ed.id, float(ed.length))
-        c = 1.0 / length
-        i, j = idx[ed.u], idx[ed.v]
-        lap[i, j] -= c
-        lap[j, i] -= c
-        lap[i, i] += c
-        lap[j, j] += c
+    lap = np.array(
+        graph.laplacian_rows(lambda e: 1.0 / override.get(e.id, float(e.length))),
+        dtype=float,
+    )
+    n = graph.n
     j_over_n = np.full((n, n), 1.0 / n)
     lplus = np.linalg.inv(lap - j_over_n) + j_over_n
-    i, j = idx[p], idx[q]
+    order = graph.sorted_vertices()
+    i, j = order.index(p), order.index(q)
     return lplus[i, i] - 2.0 * lplus[i, j] + lplus[j, j]
 
 

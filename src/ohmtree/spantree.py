@@ -44,20 +44,7 @@ def count_matrix_tree(graph: Multigraph) -> int:
     """
     if graph.n == 0:
         raise GraphError("graph has no vertices")
-    order = graph.sorted_vertices()
-    idx = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    rows = [[0] * n for _ in range(n)]
-    for e in graph.edges():
-        if e.is_loop():
-            continue
-        i, j = idx[e.u], idx[e.v]
-        rows[i][j] -= 1
-        rows[j][i] -= 1
-        rows[i][i] += 1
-        rows[j][j] += 1
-    minor = Matrix(rows).drop(0, 0)
-    det = minor.det()
+    det = Matrix(graph.laplacian_rows(lambda e: 1)).drop(0, 0).det()
     assert det.denominator == 1
     return int(det)
 
@@ -364,6 +351,16 @@ def union_three_vertices_identical(t1: int, t1pqs: int) -> int:
 # -- vertex deletion --------------------------------------------------------
 
 
+def removable_vertices(graph: Multigraph) -> list:
+    """Non-cut vertices, in sorted order: those whose deletion leaves the
+    graph connected.  A graph with fewer than two vertices has none."""
+    if graph.n < 2:
+        return []
+    return [
+        u for u in graph.sorted_vertices() if graph.delete_vertex(u).is_connected()
+    ]
+
+
 class ExpansionTerm(NamedTuple):
     subset: tuple  # neighbor vertices identified together
     coefficient: int  # product of the edge multiplicities
@@ -567,17 +564,11 @@ def spanning_tree_euler(
         full_sum += sq
         if ed.is_loop() or not graph.is_bridge(ed.id):
             nonbridge_sum += sq
-        elif s != t and _separates(graph, ed.id, s, t):
+        elif graph.separates(ed.id, s, t):
             k += 1
     uniform = Fraction(4 * t_g * t_st - full_sum)
     bridge_form = Fraction(4 * t_g * t_st - 4 * t_g * t_g * k - nonbridge_sum)
     return uniform, bridge_form
-
-
-def _separates(graph: Multigraph, e: EdgeId, s: VertexId, t: VertexId) -> bool:
-    comps = graph.delete_edge(e).connected_components()
-    comp_s = next(c for c in comps if s in c)
-    return t not in comp_s
 
 
 # -- closed forms ------------------------------------------------------------

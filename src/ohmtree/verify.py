@@ -8,6 +8,10 @@ pass flag.  Exact tags pass only on a residual of literal zero; the single
 floating tag (the finite-difference derivative cross-check) uses a relative
 tolerance of 1e-6.
 
+Most laws are one ``REGISTRY`` row built by :func:`_law`: the selection to
+draw, the graph to check on, the hypothesis and the residual.  A requested
+tag that gets no check at all fails the run.
+
 Selections are sampled with replacement on purpose: coincident query points
 exercise the degenerate conventions (zero resistance at equal points, zero
 count for an identification of a vertex with itself).  Selections that
@@ -69,10 +73,17 @@ class IdentityReport:
 
 class SuiteResult(NamedTuple):
     reports: List[IdentityReport]
-    skipped: Dict[str, int]
+    skipped: Dict[str, int]  # one entry per requested tag
+
+    @property
+    def unchecked_tags(self) -> List[str]:
+        """Requested tags that produced no check at all."""
+        checked = {r.tag for r in self.reports}
+        return [t for t in self.skipped if t not in checked]
 
     def all_passed(self) -> bool:
-        return all(r.passed for r in self.reports)
+        """Every report passed and every requested tag was checked."""
+        return not self.unchecked_tags and all(r.passed for r in self.reports)
 
 
 def _random_connected(
@@ -159,125 +170,118 @@ def generate_series_parallel(
     )
 
 
-# -- selection helpers -------------------------------------------------------
+# -- table-driven laws -------------------------------------------------------
 
 
-def _vertex_tuples(rng, pool, k, samples, exhaustive):
+def _selections(rng, pools, samples, exhaustive):
+    """One element of each pool per selection: every combination when
+    ``exhaustive``, else ``samples`` draws with replacement."""
     if exhaustive:
-        yield from product(pool, repeat=k)
+        yield from product(*pools)
     else:
         for _ in range(samples):
-            yield tuple(rng.choice(pool) for _ in range(k))
-
-
-def _edge_vertex_tuples(rng, edge_pool, vertex_pool, k, samples, exhaustive):
-    if exhaustive:
-        yield from product(edge_pool, *([vertex_pool] * k))
-    else:
-        for _ in range(samples):
-            yield (rng.choice(edge_pool),) + tuple(
-                rng.choice(vertex_pool) for _ in range(k)
-            )
+            yield tuple(rng.choice(pool) for pool in pools)
 
 
 Check = Tuple[str, Fraction, Optional[bool]]
 Evaluator = Callable[[Multigraph, random.Random, int, bool], Tuple[List[Check], int]]
 
 
-# -- resistance-side evaluators ----------------------------------------------
+def _law(names: str, residual, unit=False, network=True, skip=None) -> Evaluator:
+    """Evaluator that checks one law on every selection.
+
+    ``names`` labels the selection, e.g. ``"p q s t"``; an ``e`` draws an
+    edge, every other name a vertex.  The law is checked on the graph, or
+    on its unit-length copy with ``unit``, wrapped in a :class:`Network`
+    with ``network``.  A selection for which ``skip(graph, *selection)``
+    holds violates the law's hypothesis and is counted as skipped.
+    ``residual(x, rng, *selection)`` returns the residual, or a list of
+    checks that carry their own labels.
+    """
+    keys = names.split()
+    label = ",".join(f"{k}={{}}" for k in keys)
+
+    def evaluate(graph, rng, samples, exhaustive):
+        g = graph.with_unit_lengths() if unit else graph
+        x = Network(g) if network else g
+        verts = g.sorted_vertices()
+        pools = [g.edge_ids() if k == "e" else verts for k in keys]
+        out: List[Check] = []
+        skipped = 0
+        for sel in _selections(rng, pools, samples, exhaustive):
+            if skip is not None and skip(g, *sel):
+                skipped += 1
+                continue
+            r = residual(x, rng, *sel)
+            if isinstance(r, list):
+                out.extend(r)
+            else:
+                out.append((label.format(*sel), r, None))
+        return out, skipped
+
+    return evaluate
 
 
-def _eval_magic(graph, rng, samples, exhaustive):
-    net = Network(graph)
-    out: List[Check] = []
-    for p, q, s, t in _vertex_tuples(
-        rng, graph.sorted_vertices(), 4, samples, exhaustive
-    ):
-        base = net.voltage(p, q, s) - net.voltage(p, q, t)
-        alts = (
-            net.voltage(t, q, s) - net.voltage(t, p, s),
-            net.voltage(s, p, t) - net.voltage(s, q, t),
-            net.voltage(q, p, t) - net.voltage(q, p, s),
-        )
-        residual = sum(abs(base - a) for a in alts)
-        out.append((f"p={p},q={q},s={s},t={t}", residual, None))
-    return out, 0
+def _is_bridge(g, e, *_):
+    return g.is_bridge(e)
 
 
-def _eval_shorting(graph, rng, samples, exhaustive):
-    net = Network(graph)
-    out: List[Check] = []
-    skipped = 0
-    for p, q, s, t in _vertex_tuples(
-        rng, graph.sorted_vertices(), 4, samples, exhaustive
-    ):
-        if p == q:
-            skipped += 1
-            continue
-        d = resistnet.shorting_delta(net, p, q, s, t)
-        out.append(
-            (f"p={p},q={q},s={s},t={t}", d.before - d.after - d.correction, None)
-        )
-    return out, skipped
+def _drop(d: resistnet.DeltaResult) -> Fraction:
+    """Residual of a law stating before - after == correction."""
+    return d.before - d.after - d.correction
 
 
-def _eval_cutting(graph, rng, samples, exhaustive):
-    net = Network(graph)
-    out: List[Check] = []
-    skipped = 0
-    for e, s, t in _edge_vertex_tuples(
-        rng, graph.edge_ids(), graph.sorted_vertices(), 2, samples, exhaustive
-    ):
-        if graph.is_bridge(e):
-            skipped += 1
-            continue
-        d = resistnet.cutting_delta(net, e, s, t)
-        out.append((f"e={e},s={s},t={t}", d.after - d.before - d.correction, None))
-    return out, skipped
+def _magic(net, rng, p, q, s, t):
+    base = net.voltage(p, q, s) - net.voltage(p, q, t)
+    alts = (
+        net.voltage(t, q, s) - net.voltage(t, p, s),
+        net.voltage(s, p, t) - net.voltage(s, q, t),
+        net.voltage(q, p, t) - net.voltage(q, p, s),
+    )
+    return sum(abs(base - a) for a in alts)
 
 
-def _eval_monotonic1(graph, rng, samples, exhaustive):
-    net = Network(graph)
-    out: List[Check] = []
-    for e, s, t in _edge_vertex_tuples(
-        rng, graph.edge_ids(), graph.sorted_vertices(), 2, samples, exhaustive
-    ):
-        d = resistnet.contraction_delta(net, e, s, t)
-        out.append((f"e={e},s={s},t={t}", d.before - d.after - d.correction, None))
-    return out, 0
+def _cutting(net, rng, e, s, t):
+    d = resistnet.cutting_delta(net, e, s, t)
+    return d.after - d.before - d.correction
 
 
-def _eval_monotonic2(graph, rng, samples, exhaustive):
-    net = Network(graph)
-    out: List[Check] = []
-    for e, s, t in _edge_vertex_tuples(
-        rng, graph.edge_ids(), graph.sorted_vertices(), 2, samples, exhaustive
-    ):
-        new_len = Fraction(rng.randint(1, 5), rng.randint(1, 3))
-        d = resistnet.edge_modification_delta(net, e, new_len, s, t)
-        out.append(
-            (
-                f"e={e},len={new_len},s={s},t={t}",
-                d.before - d.after - d.correction,
-                None,
-            )
-        )
-    return out, 0
+def _monotonic2(net, rng, e, s, t):
+    new_len = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+    d = resistnet.edge_modification_delta(net, e, new_len, s, t)
+    return [(f"e={e},len={new_len},s={s},t={t}", _drop(d), None)]
 
 
-def _eval_convex(graph, rng, samples, exhaustive):
-    net = Network(graph)
-    out: List[Check] = []
-    skipped = 0
-    for e, s, t in _edge_vertex_tuples(
-        rng, graph.edge_ids(), graph.sorted_vertices(), 2, samples, exhaustive
-    ):
-        if graph.is_bridge(e):
-            skipped += 1
-            continue
-        residual = resistnet.convex_combination_check(net, e, s, t)
-        out.append((f"e={e},s={s},t={t}", residual, None))
-    return out, skipped
+def _euler(split):
+    """Residual of an Euler split: r(s, t) minus the sum of its terms."""
+
+    def residual(net, rng, s, t):
+        total = sum((x.contribution for x in split(net, s, t)), Fraction(0))
+        return net.resistance(s, t) - total
+
+    return residual
+
+
+def _derivative(net, rng, e, s, t):
+    exact = resistnet.resistance_derivative(net, e, s, t)
+    if net.graph.is_bridge(e):
+        # bridge clause: the derivative is exactly one or zero
+        ok = exact in (0, 1)
+        return [(f"bridge:e={e},s={s},t={t}", Fraction(0 if ok else 1), ok)]
+    residual = Fraction(resistnet.resistance_fd(net.graph, e, s, t)) - exact
+    tol = DERIVATIVE_REL_TOL * max(1.0, abs(float(exact)))
+    return [(f"e={e},s={s},t={t}", residual, abs(float(residual)) <= tol)]
+
+
+def _span_euler(g, rng, s, t):
+    uniform, bridged = spantree.spanning_tree_euler(g, s, t)
+    return [
+        (f"uniform:s={s},t={t}", uniform, None),
+        (f"bridges:s={s},t={t}", bridged, None),
+    ]
+
+
+# -- evaluators with their own selection -------------------------------------
 
 
 def _eval_vol_transfer(graph, rng, samples, exhaustive):
@@ -285,8 +289,8 @@ def _eval_vol_transfer(graph, rng, samples, exhaustive):
     verts = graph.sorted_vertices()
     out: List[Check] = []
     skipped = 0
-    for e, u, s, t in _edge_vertex_tuples(
-        rng, graph.edge_ids(), verts, 3, samples, exhaustive
+    for e, u, s, t in _selections(
+        rng, [graph.edge_ids()] + [verts] * 3, samples, exhaustive
     ):
         if graph.is_bridge(e):
             skipped += 1
@@ -334,26 +338,6 @@ def _eval_vol_transfer(graph, rng, samples, exhaustive):
     return out, skipped
 
 
-def _eval_euler1(graph, rng, samples, exhaustive):
-    net = Network(graph)
-    out: List[Check] = []
-    for s, t in _vertex_tuples(rng, graph.sorted_vertices(), 2, samples, exhaustive):
-        terms = resistnet.euler_decomposition(net, s, t)
-        total = sum((x.contribution for x in terms), Fraction(0))
-        out.append((f"s={s},t={t}", net.resistance(s, t) - total, None))
-    return out, 0
-
-
-def _eval_euler2(graph, rng, samples, exhaustive):
-    net = Network(graph)
-    out: List[Check] = []
-    for s, t in _vertex_tuples(rng, graph.sorted_vertices(), 2, samples, exhaustive):
-        terms = resistnet.euler_decomposition_resistance_only(net, s, t)
-        total = sum((x.contribution for x in terms), Fraction(0))
-        out.append((f"s={s},t={t}", net.resistance(s, t) - total, None))
-    return out, 0
-
-
 def _eval_foster(graph, rng, samples, exhaustive):
     unit = graph.with_unit_lengths()
     net = Network(unit)
@@ -361,48 +345,6 @@ def _eval_foster(graph, rng, samples, exhaustive):
         (net.resistance(ed.u, ed.v) for ed in unit.edges()), Fraction(0)
     )
     return [("all-edges", total - (unit.n - 1), None)], 0
-
-
-def _eval_derivative(graph, rng, samples, exhaustive):
-    net = Network(graph)
-    out: List[Check] = []
-    for e, s, t in _edge_vertex_tuples(
-        rng, graph.edge_ids(), graph.sorted_vertices(), 2, samples, exhaustive
-    ):
-        exact = resistnet.resistance_derivative(net, e, s, t)
-        if graph.is_bridge(e):
-            # bridge clause: the derivative is exactly one or zero
-            ok = exact in (0, 1)
-            out.append((f"bridge:e={e},s={s},t={t}", Fraction(0 if ok else 1), ok))
-            continue
-        fd = resistnet.resistance_fd(graph, e, s, t)
-        residual = Fraction(fd) - exact
-        tol = DERIVATIVE_REL_TOL * max(1.0, abs(float(exact)))
-        out.append((f"e={e},s={s},t={t}", residual, abs(float(residual)) <= tol))
-    return out, 0
-
-
-# -- spanning-tree-side evaluators -------------------------------------------
-
-
-def _eval_tree_resistance(graph, rng, samples, exhaustive):
-    unit = graph.with_unit_lengths()
-    net = Network(unit)
-    out: List[Check] = []
-    for p, q in _vertex_tuples(rng, unit.sorted_vertices(), 2, samples, exhaustive):
-        residual = net.resistance(p, q) - spantree.resistance_from_trees(unit, p, q)
-        out.append((f"p={p},q={q}", residual, None))
-    return out, 0
-
-
-def _eval_tree_voltage(graph, rng, samples, exhaustive):
-    unit = graph.with_unit_lengths()
-    net = Network(unit)
-    out: List[Check] = []
-    for p, q, s in _vertex_tuples(rng, unit.sorted_vertices(), 3, samples, exhaustive):
-        residual = net.voltage(p, q, s) - spantree.voltage_from_trees(unit, p, q, s)
-        out.append((f"p={p},q={q},s={s}", residual, None))
-    return out, 0
 
 
 def _eval_averaging(graph, rng, samples, exhaustive):
@@ -419,61 +361,12 @@ def _eval_averaging(graph, rng, samples, exhaustive):
     return out, skipped
 
 
-def _eval_quadratic(graph, rng, samples, exhaustive):
-    unit = graph.with_unit_lengths()
-    out: List[Check] = []
-    for p, q, s, t in _vertex_tuples(
-        rng, unit.sorted_vertices(), 4, samples, exhaustive
-    ):
-        residual = spantree.identification_quadratic(unit, p, q, s, t)
-        out.append((f"p={p},q={q},s={s},t={t}", residual, None))
-    return out, 0
-
-
-def _eval_contract_id(graph, rng, samples, exhaustive):
-    unit = graph.with_unit_lengths()
-    out: List[Check] = []
-    for e, s, t in _edge_vertex_tuples(
-        rng, unit.edge_ids(), unit.sorted_vertices(), 2, samples, exhaustive
-    ):
-        out.append(
-            (f"e={e},s={s},t={t}", spantree.contraction_identity(unit, e, s, t), None)
-        )
-    return out, 0
-
-
-def _eval_delete_id(graph, rng, samples, exhaustive):
-    unit = graph.with_unit_lengths()
-    out: List[Check] = []
-    for e, s, t in _edge_vertex_tuples(
-        rng, unit.edge_ids(), unit.sorted_vertices(), 2, samples, exhaustive
-    ):
-        out.append(
-            (f"e={e},s={s},t={t}", spantree.deletion_identity(unit, e, s, t), None)
-        )
-    return out, 0
-
-
-def _eval_span_euler(graph, rng, samples, exhaustive):
-    unit = graph.with_unit_lengths()
-    out: List[Check] = []
-    for s, t in _vertex_tuples(rng, unit.sorted_vertices(), 2, samples, exhaustive):
-        uniform, bridged = spantree.spanning_tree_euler(unit, s, t)
-        out.append((f"uniform:s={s},t={t}", uniform, None))
-        out.append((f"bridges:s={s},t={t}", bridged, None))
-    return out, 0
-
-
 def _eval_vertex_del(graph, rng, samples, exhaustive):
     unit = graph.with_unit_lengths()
     t_direct = spantree.count_matrix_tree(unit)
     out: List[Check] = []
     skipped = 0
-    candidates = [
-        u
-        for u in unit.sorted_vertices()
-        if unit.n >= 2 and unit.delete_vertex(u).is_connected()
-    ]
+    candidates = spantree.removable_vertices(unit)
     if not candidates:
         return out, 1
     chosen = candidates if exhaustive else candidates[: max(1, samples // 2)]
@@ -635,24 +528,59 @@ def _eval_unions(graph, rng, samples, exhaustive):
 
 
 REGISTRY: Dict[str, Evaluator] = {
-    "magic": _eval_magic,
-    "shorting": _eval_shorting,
-    "cutting": _eval_cutting,
-    "monotonic1": _eval_monotonic1,
-    "monotonic2": _eval_monotonic2,
-    "convex": _eval_convex,
+    "magic": _law("p q s t", _magic),
+    "shorting": _law(
+        "p q s t",
+        lambda net, rng, *sel: _drop(resistnet.shorting_delta(net, *sel)),
+        skip=lambda g, p, q, s, t: p == q,
+    ),
+    "cutting": _law("e s t", _cutting, skip=_is_bridge),
+    "monotonic1": _law(
+        "e s t", lambda net, rng, *sel: _drop(resistnet.contraction_delta(net, *sel))
+    ),
+    "monotonic2": _law("e s t", _monotonic2),
+    "convex": _law(
+        "e s t",
+        lambda net, rng, *sel: resistnet.convex_combination_check(net, *sel),
+        skip=_is_bridge,
+    ),
     "vol-transfer": _eval_vol_transfer,
-    "euler1": _eval_euler1,
-    "euler2": _eval_euler2,
+    "euler1": _law("s t", _euler(resistnet.euler_decomposition)),
+    "euler2": _law("s t", _euler(resistnet.euler_decomposition_resistance_only)),
     "foster": _eval_foster,
-    "derivative": _eval_derivative,
-    "tree-resistance": _eval_tree_resistance,
-    "tree-voltage": _eval_tree_voltage,
+    "derivative": _law("e s t", _derivative),
+    "tree-resistance": _law(
+        "p q",
+        lambda net, rng, p, q: net.resistance(p, q)
+        - spantree.resistance_from_trees(net.graph, p, q),
+        unit=True,
+    ),
+    "tree-voltage": _law(
+        "p q s",
+        lambda net, rng, p, q, s: net.voltage(p, q, s)
+        - spantree.voltage_from_trees(net.graph, p, q, s),
+        unit=True,
+    ),
     "averaging": _eval_averaging,
-    "quadratic": _eval_quadratic,
-    "contract-id": _eval_contract_id,
-    "delete-id": _eval_delete_id,
-    "span-euler": _eval_span_euler,
+    "quadratic": _law(
+        "p q s t",
+        lambda g, rng, *sel: spantree.identification_quadratic(g, *sel),
+        unit=True,
+        network=False,
+    ),
+    "contract-id": _law(
+        "e s t",
+        lambda g, rng, *sel: spantree.contraction_identity(g, *sel),
+        unit=True,
+        network=False,
+    ),
+    "delete-id": _law(
+        "e s t",
+        lambda g, rng, *sel: spantree.deletion_identity(g, *sel),
+        unit=True,
+        network=False,
+    ),
+    "span-euler": _law("s t", _span_euler, unit=True, network=False),
     "vertex-del": _eval_vertex_del,
     "star-aug": _eval_star_aug,
     "unions": _eval_unions,
@@ -673,7 +601,9 @@ def run_suite(
     ``samples`` caps the vertex/edge selections per instance and tag;
     ``exhaustive`` enumerates every selection instead (sensible only for
     graphs of at most five vertices).  Reports come back in deterministic
-    order; ``skipped`` counts selections filtered by a hypothesis.
+    order; ``skipped`` counts selections filtered by a hypothesis.  A
+    requested tag that ends up with no check at all is listed in
+    ``unchecked_tags`` and makes ``all_passed()`` false.
     """
     tag_list = list(tags)
     unknown = [t for t in tag_list if t not in REGISTRY]

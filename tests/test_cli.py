@@ -166,6 +166,21 @@ def test_cmd_verify(capsys):
     assert "failures" in captured.err
 
 
+@pytest.mark.parametrize(
+    "args, unchecked",
+    [
+        (["--count", "0"], "averaging,contract-id,convex"),
+        (["--samples", "0", "--tags", "shorting,cutting"], "shorting,cutting"),
+    ],
+)
+def test_cmd_verify_without_checks_fails(capsys, args, unchecked):
+    assert main(["verify", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "checked 0 identities" in captured.err
+    assert f"no identity checked for tags: {unchecked}" in captured.err
+
+
 def test_cmd_verify_unknown_tag(capsys):
     assert main(["verify", "--tags", "bogus"]) == 5
     capsys.readouterr()

@@ -178,6 +178,13 @@ def test_is_bridge():
     assert not g.is_bridge("l")
 
 
+def test_separates():
+    g = Multigraph.from_edges([("a", "b"), ("b", "c"), ("c", "b")])
+    assert g.separates("e1", "a", "c") and g.separates("e1", "b", "a")
+    assert not g.separates("e2", "a", "c")  # the parallel edge e3 remains
+    assert not g.separates("e1", "a", "a")
+
+
 def test_bridge_iff_in_every_spanning_tree():
     rng = random.Random(5)
     from itertools import combinations

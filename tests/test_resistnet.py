@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ohmtree
 from ohmtree import resistnet
 from ohmtree.exactnum import Matrix
 from ohmtree.graph import (
@@ -223,6 +228,14 @@ def test_derivative_matches_finite_differences():
                 continue
             fd = resistnet.resistance_fd(g, e, s, t)
             assert abs(fd - float(exact)) <= 1e-6 * max(1.0, abs(float(exact)))
+
+
+def test_import_does_not_load_numpy():
+    # numpy serves only the float mirror, loaded when a derivative is checked
+    src = str(Path(ohmtree.__file__).resolve().parents[1])
+    code = "import sys, ohmtree, ohmtree.cli; assert 'numpy' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_euler_decomposition_examples():

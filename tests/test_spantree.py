@@ -36,6 +36,7 @@ from ohmtree.spantree import (
     identification_quadratic,
     identified_count,
     path_attachment,
+    removable_vertices,
     resistance_from_trees,
     spanning_tree_euler,
     star_augmentation_count,
@@ -408,6 +409,12 @@ def test_vertex_deletion_errors():
     single = Multigraph(["a"], [])
     with pytest.raises(PreconditionError):
         vertex_deletion_count(single, "a")
+
+
+def test_removable_vertices():
+    assert removable_vertices(path_graph(3)) == ["v1", "v3"]
+    assert removable_vertices(cycle_graph(3)) == ["v1", "v2", "v3"]
+    assert removable_vertices(Multigraph(["a"], [])) == []
 
 
 def test_vertex_deletion_fan_and_wheel():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -75,6 +76,7 @@ def test_spec_validation():
 def test_run_suite_empty_tags():
     result = run_suite(GraphGenSpec(seed=0), tags=(), instances=3)
     assert result.reports == [] and result.skipped == {}
+    assert result.all_passed()  # nothing was requested
 
 
 def test_run_suite_unknown_tag():
@@ -110,6 +112,43 @@ def test_skipped_selections_are_counted():
     result = run_suite(spec, ("cutting",), instances=2, samples=5)
     assert result.reports == []
     assert result.skipped["cutting"] == 10
+
+
+def test_requested_tag_without_checks_fails():
+    # on trees cutting skips every selection, so nothing was checked
+    spec = GraphGenSpec(n_min=4, n_max=4, m_min=3, m_max=3, seed=9)
+    result = run_suite(spec, ("magic", "cutting"), instances=2, samples=5)
+    assert result.reports and all(r.passed for r in result.reports)
+    assert result.unchecked_tags == ["cutting"]
+    assert not result.all_passed()
+
+
+def _report_digest(result):
+    # derivative residuals come from LAPACK floats, which may differ across
+    # machines, so that field is left out of derivative lines
+    lines = []
+    for r in result.reports:
+        fields = r.line().split(" ")
+        if r.tag == "derivative":
+            del fields[3]
+        lines.append(" ".join(fields))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16], len(lines)
+
+
+@pytest.mark.parametrize(
+    "spec, kwargs, expected",
+    [
+        (GraphGenSpec(seed=17), {"instances": 5}, ("7269bd62be6c45b9", 635)),
+        (
+            GraphGenSpec(seed=3, n_min=3, n_max=3, m_min=3, m_max=5),
+            {"instances": 2, "exhaustive": True},
+            ("fc5f993ea4e631ce", 2117),
+        ),
+    ],
+)
+def test_golden_reports(spec, kwargs, expected):
+    # report lines are the contract: a refactor must reproduce them exactly
+    assert _report_digest(run_suite(spec, **kwargs)) == expected
 
 
 def test_report_line_format():
