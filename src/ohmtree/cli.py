@@ -9,7 +9,8 @@ Graph files are line oriented:
 Exact fractions are the primary output (first line, as num/den); a 12
 significant digit decimal follows where that helps a human.  Exit codes:
 0 ok, 1 verification failures, 2 parse error, 3 disconnected graph,
-4 unknown vertex or edge, 5 violated hypothesis or bad parameters.
+4 unknown vertex or edge, 5 violated hypothesis, bad parameters or an
+exceeded budget (``spantree --method enum`` or ``dc``).
 """
 
 from __future__ import annotations

@@ -262,32 +262,33 @@ class Multigraph:
     def is_bridge(self, e: EdgeId) -> bool:
         """True iff deleting the edge disconnects its endpoints."""
         ed = self.edge(e)
-        if ed.is_loop():
+        return self.separates(e, ed.u, ed.v)
+
+    def bridges(self) -> list:
+        return [e for e in self.edge_ids() if self.is_bridge(e)]
+
+    def separates(self, e: EdgeId, s: VertexId, t: VertexId) -> bool:
+        """True iff s and t fall into different components of graph - e:
+        a walk from s that never crosses e does not reach t."""
+        self.edge(e)
+        self._require_vertex(s)
+        self._require_vertex(t)
+        if s == t:
             return False
-        seen = {ed.u}
-        stack = [ed.u]
+        seen = {s}
+        stack = [s]
         while stack:
             w = stack.pop()
             for eid in self._incident[w]:
                 if eid == e:
                     continue
                 o = self._edges[eid].other_end(w)
-                if o == ed.v:
+                if o == t:
                     return False
                 if o not in seen:
                     seen.add(o)
                     stack.append(o)
         return True
-
-    def bridges(self) -> list:
-        return [e for e in self.edge_ids() if self.is_bridge(e)]
-
-    def separates(self, e: EdgeId, s: VertexId, t: VertexId) -> bool:
-        """True iff s and t fall into different components of graph - e."""
-        if s == t:
-            return False
-        comps = self.delete_edge(e).connected_components()
-        return t not in next(c for c in comps if s in c)
 
     def laplacian_rows(self, conductance: Callable[[Edge], object]) -> list:
         """Laplacian rows in sorted vertex order: off-diagonal -(sum of

@@ -115,79 +115,50 @@ def _check_index(n: int) -> None:
         raise ValueError("index must be nonnegative")
 
 
-def morgan_voyce(n: int) -> IntPolynomial:
-    """B_n: B_0 = 1, B_1 = 2 + x, B_n = (x + 2) B_{n-1} - B_{n-2}."""
+def _recurrence(n: int, a0, a1, step, sign: int, shift: int = 0):
+    """x_n of the second-order recurrence x_0 = a0, x_1 = a1,
+    x_k = step * x_{k-1} + sign * x_{k-2} + shift."""
     _check_index(n)
-    prev, cur = IntPolynomial((1,)), IntPolynomial((2, 1))
+    prev, cur = a0, a1
     if n == 0:
         return prev
-    step = IntPolynomial((2, 1))
     for _ in range(n - 1):
-        prev, cur = cur, step * cur - prev
+        prev, cur = cur, step * cur + sign * prev + shift
     return cur
+
+
+def morgan_voyce(n: int) -> IntPolynomial:
+    """B_n: B_0 = 1, B_1 = 2 + x, B_n = (x + 2) B_{n-1} - B_{n-2}."""
+    return _recurrence(n, IntPolynomial((1,)), X + 2, X + 2, -1)
 
 
 def w_poly(n: int) -> IntPolynomial:
     """W_n: W_0 = 1, W_1 = x + 4, W_n = (x + 2) W_{n-1} - W_{n-2} + 2."""
-    _check_index(n)
-    prev, cur = IntPolynomial((1,)), IntPolynomial((4, 1))
-    if n == 0:
-        return prev
-    step = IntPolynomial((2, 1))
-    for _ in range(n - 1):
-        prev, cur = cur, step * cur - prev + 2
-    return cur
+    return _recurrence(n, IntPolynomial((1,)), X + 4, X + 2, -1, 2)
 
 
 def companion_poly(n: int) -> IntPolynomial:
     """Companion Morgan-Voyce C_n: C_0 = 2, C_1 = x + 2, same recurrence as
     B_n.  Satisfies x * W_{n-1}(x) + 2 = C_n(x)."""
-    _check_index(n)
-    prev, cur = IntPolynomial((2,)), IntPolynomial((2, 1))
-    if n == 0:
-        return prev
-    step = IntPolynomial((2, 1))
-    for _ in range(n - 1):
-        prev, cur = cur, step * cur - prev
-    return cur
+    return _recurrence(n, IntPolynomial((2,)), X + 2, X + 2, -1)
 
 
 def fibonacci_poly(n: int) -> IntPolynomial:
     """F_0 = 0, F_1 = 1, F_n = x F_{n-1} + F_{n-2}."""
-    _check_index(n)
-    prev, cur = IntPolynomial(), IntPolynomial((1,))
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
-        prev, cur = cur, cur.shifted(1) + prev
-    return cur
+    return _recurrence(n, IntPolynomial(), IntPolynomial((1,)), X, 1)
 
 
 def lucas_poly(n: int) -> IntPolynomial:
     """L_0 = 2, L_1 = x, L_n = x L_{n-1} + L_{n-2}."""
-    _check_index(n)
-    prev, cur = IntPolynomial((2,)), IntPolynomial((0, 1))
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
-        prev, cur = cur, cur.shifted(1) + prev
-    return cur
+    return _recurrence(n, IntPolynomial((2,)), X, X, 1)
 
 
 def fibonacci(n: int) -> int:
-    _check_index(n)
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
+    return _recurrence(n, 0, 1, 1, 1)
 
 
 def lucas(n: int) -> int:
-    _check_index(n)
-    a, b = 2, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
+    return _recurrence(n, 2, 1, 1, 1)
 
 
 def triangular_fan(n: int, k: int) -> int:

@@ -19,7 +19,7 @@ under test.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Dict, List, NamedTuple, Tuple
 
 from .exactnum import Matrix, SingularMatrixError, rational
@@ -112,11 +112,6 @@ class Network:
         g, renames = self.graph.contract_edge(e)
         return Network(g), renames
 
-    def edge_resistance_without(self, e: EdgeId) -> Fraction:
-        """R_e: resistance between the edge's endpoints after deleting it."""
-        ed = self.graph.edge(e)
-        return self.deleted(e).resistance(ed.u, ed.v)
-
 
 class DeltaResult(NamedTuple):
     """Before/after resistances of a surgery plus the law's correction term.
@@ -143,6 +138,27 @@ def _bridge_kind(graph: Multigraph, ed, s: VertexId, t: VertexId) -> str:
     return "bridge-on-path" if graph.separates(ed.id, s, t) else "bridge-off-path"
 
 
+def _cut(net: Network, e: EdgeId, law: str = ""):
+    """Cut-graph data of the edge e = (p, q): the network G - e, its
+    resistance R_e = r'(p, q) and the voltage x -> j'_p(q, x).  With ``law``
+    named, a bridge violates that law's hypothesis."""
+    ed = net.graph.edge(e)
+    if law and net.graph.is_bridge(e):
+        raise PreconditionError(f"edge is a bridge; {law} needs a non-bridge edge")
+    deleted = net.deleted(e)
+    return deleted, deleted.resistance(ed.u, ed.v), partial(deleted.voltage, ed.u, ed.v)
+
+
+def _loop_or_bridge(net: Network, ed, s: VertexId, t: VertexId, drop: Fraction):
+    """Correction of a surgery on a self-loop (0) or a bridge (``drop`` when
+    the bridge separates s from t, else 0); None for any other edge."""
+    if ed.is_loop():
+        return Fraction(0)
+    if net.graph.is_bridge(ed.id):
+        return drop if net.graph.separates(ed.id, s, t) else Fraction(0)
+    return None
+
+
 def resistance_derivative(
     net: Network, e: EdgeId, s: VertexId, t: VertexId
 ) -> Fraction:
@@ -152,13 +168,11 @@ def resistance_derivative(
     s == t): 0.  Non-bridge: the squared voltage difference across the edge's
     endpoints in the deleted graph, divided by (L + R)^2.
     """
-    ed = net.graph.edge(e)
     if net.graph.is_bridge(e):
         return Fraction(1 if net.graph.separates(e, s, t) else 0)
-    deleted = net.deleted(e)
-    diff = deleted.voltage(ed.u, ed.v, s) - deleted.voltage(ed.u, ed.v, t)
-    big_r = deleted.resistance(ed.u, ed.v)
-    return diff * diff / (ed.length + big_r) ** 2
+    _, big_r, j = _cut(net, e)
+    diff = j(s) - j(t)
+    return diff * diff / (net.graph.length(e) + big_r) ** 2
 
 
 def euler_decomposition(net: Network, s: VertexId, t: VertexId) -> List[EulerTerm]:
@@ -221,17 +235,13 @@ def cutting_delta(
 ) -> DeltaResult:
     """Cutting law: deleting a non-bridge edge raises r(s, t) by exactly
     (j'_p(q,s) - j'_p(q,t))^2 / (L + R), primes taken in the cut graph."""
-    ed = net.graph.edge(e)
-    if net.graph.is_bridge(e):
-        raise PreconditionError(
-            "edge is a bridge; the cutting law needs a non-bridge edge"
-        )
-    deleted = net.deleted(e)
-    before = net.resistance(s, t)
-    after = deleted.resistance(s, t)
-    big_r = deleted.resistance(ed.u, ed.v)
-    diff = deleted.voltage(ed.u, ed.v, s) - deleted.voltage(ed.u, ed.v, t)
-    return DeltaResult(before, after, diff * diff / (ed.length + big_r))
+    deleted, big_r, j = _cut(net, e, "the cutting law")
+    diff = j(s) - j(t)
+    return DeltaResult(
+        net.resistance(s, t),
+        deleted.resistance(s, t),
+        diff * diff / (net.graph.length(e) + big_r),
+    )
 
 
 def contraction_delta(
@@ -244,14 +254,11 @@ def contraction_delta(
     before = net.resistance(s, t)
     contracted, ren = net.contracted(e)
     after = contracted.resistance(ren[s], ren[t])
-    if ed.is_loop():
-        return DeltaResult(before, after, Fraction(0))
-    if net.graph.is_bridge(e):
-        corr = ed.length if net.graph.separates(e, s, t) else Fraction(0)
-        return DeltaResult(before, after, corr)
-    big_r = net.edge_resistance_without(e)
-    diff = net.voltage(ed.u, ed.v, s) - net.voltage(ed.u, ed.v, t)
-    corr = (ed.length + big_r) * diff * diff / (ed.length * big_r)
+    corr = _loop_or_bridge(net, ed, s, t, ed.length)
+    if corr is None:
+        _, big_r, _ = _cut(net, e)
+        diff = net.voltage(ed.u, ed.v, s) - net.voltage(ed.u, ed.v, t)
+        corr = (ed.length + big_r) * diff * diff / (ed.length * big_r)
     return DeltaResult(before, after, corr)
 
 
@@ -267,21 +274,13 @@ def edge_modification_delta(
         raise PreconditionError("replacement length must be positive")
     before = net.resistance(s, t)
     after = Network(net.graph.with_length(e, new_len)).resistance(s, t)
-    if ed.is_loop():
-        return DeltaResult(before, after, Fraction(0))
-    if net.graph.is_bridge(e):
-        corr = (
-            ed.length - new_len
-            if net.graph.separates(e, s, t)
-            else Fraction(0)
+    corr = _loop_or_bridge(net, ed, s, t, ed.length - new_len)
+    if corr is None:
+        _, big_r, j = _cut(net, e)
+        diff = j(s) - j(t)
+        corr = (ed.length - new_len) * diff * diff / (
+            (ed.length + big_r) * (new_len + big_r)
         )
-        return DeltaResult(before, after, corr)
-    deleted = net.deleted(e)
-    big_r = deleted.resistance(ed.u, ed.v)
-    diff = deleted.voltage(ed.u, ed.v, s) - deleted.voltage(ed.u, ed.v, t)
-    corr = (ed.length - new_len) * diff * diff / (
-        (ed.length + big_r) * (new_len + big_r)
-    )
     return DeltaResult(before, after, corr)
 
 
@@ -290,18 +289,13 @@ def convex_combination_check(
 ) -> Fraction:
     """Residual of r(s,t) = L/(L+R) * r_cut(s,t) + R/(L+R) * r_contracted(s,t)
     for a non-bridge edge; must be zero."""
-    ed = net.graph.edge(e)
-    if net.graph.is_bridge(e):
-        raise PreconditionError(
-            "edge is a bridge; the combination law needs a non-bridge edge"
-        )
-    deleted = net.deleted(e)
+    length = net.graph.length(e)
+    deleted, big_r, _ = _cut(net, e, "the combination law")
     contracted, ren = net.contracted(e)
-    big_r = deleted.resistance(ed.u, ed.v)
     mix = (
-        ed.length * deleted.resistance(s, t)
+        length * deleted.resistance(s, t)
         + big_r * contracted.resistance(ren[s], ren[t])
-    ) / (ed.length + big_r)
+    ) / (length + big_r)
     return net.resistance(s, t) - mix
 
 
@@ -328,19 +322,11 @@ def voltage_transfer_cutting(
 ) -> Fraction:
     """Residual of the voltage transfer law under deletion of a non-bridge
     edge; must be zero."""
-    ed = net.graph.edge(e)
-    if net.graph.is_bridge(e):
-        raise PreconditionError(
-            "edge is a bridge; voltage transfer needs a non-bridge edge"
-        )
-    deleted = net.deleted(e)
-    big_r = deleted.resistance(ed.u, ed.v)
-    d_t = deleted.voltage(ed.u, ed.v, u) - deleted.voltage(ed.u, ed.v, t)
-    d_s = deleted.voltage(ed.u, ed.v, u) - deleted.voltage(ed.u, ed.v, s)
+    deleted, big_r, j = _cut(net, e, "voltage transfer")
     return (
         net.voltage(u, t, s)
         - deleted.voltage(u, t, s)
-        + d_t * d_s / (ed.length + big_r)
+        + (j(u) - j(t)) * (j(u) - j(s)) / (net.graph.length(e) + big_r)
     )
 
 
@@ -351,23 +337,12 @@ def voltage_transfer_contraction(
     edge; must be zero.  A self-loop contracts to a deletion with no
     correction term."""
     ed = net.graph.edge(e)
-    if not ed.is_loop() and net.graph.is_bridge(e):
-        raise PreconditionError(
-            "edge is a bridge; voltage transfer needs a non-bridge edge"
-        )
+    corr = Fraction(0)
+    if not ed.is_loop():
+        _, big_r, j = _cut(net, e, "voltage transfer")
+        corr = ed.length * (j(u) - j(t)) * (j(u) - j(s)) / (big_r * (ed.length + big_r))
     contracted, ren = net.contracted(e)
-    base = contracted.voltage(ren[u], ren[t], ren[s])
-    if ed.is_loop():
-        return net.voltage(u, t, s) - base
-    deleted = net.deleted(e)
-    big_r = deleted.resistance(ed.u, ed.v)
-    d_t = deleted.voltage(ed.u, ed.v, u) - deleted.voltage(ed.u, ed.v, t)
-    d_s = deleted.voltage(ed.u, ed.v, u) - deleted.voltage(ed.u, ed.v, s)
-    return (
-        net.voltage(u, t, s)
-        - base
-        - ed.length * d_t * d_s / (big_r * (ed.length + big_r))
-    )
+    return net.voltage(u, t, s) - contracted.voltage(ren[u], ren[t], ren[s]) - corr
 
 
 # -- floating-point mirror -------------------------------------------------

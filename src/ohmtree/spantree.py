@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .exactnum import Matrix
@@ -49,37 +50,46 @@ def count_matrix_tree(graph: Multigraph) -> int:
     return int(det)
 
 
+DC_NODE_BUDGET = 100_000
+
+
+def _without_loops(g: Multigraph) -> Multigraph:
+    loops = [e.id for e in g.edges() if e.is_loop()]
+    return g.delete_edges(loops) if loops else g
+
+
 def count_deletion_contraction(graph: Multigraph) -> int:
     """Number of spanning trees by deletion-contraction recursion.
 
     Self-loops are stripped and bridges contracted first (a bridge sits in
     every spanning tree), then the recursion branches on an edge at a
-    maximum-degree vertex.  No memoization; intended for desk-scale graphs.
+    maximum-degree vertex.  No memoization; the recursion visits about
+    2 t(G) nodes and raises :class:`PreconditionError` past
+    ``DC_NODE_BUDGET`` of them.
     """
     if graph.n == 0:
         raise GraphError("graph has no vertices")
-    g = graph
-    loops = [e.id for e in g.edges() if e.is_loop()]
-    if loops:
-        g = g.delete_edges(loops)
-    if not g.is_connected():
-        return 0
-    while True:
-        bridge = next((e for e in g.edge_ids() if g.is_bridge(e)), None)
-        if bridge is None:
-            break
-        g, _ = g.contract_edge(bridge)
-        loops = [e.id for e in g.edges() if e.is_loop()]
-        if loops:
-            g = g.delete_edges(loops)
-    if g.m == 0:
-        return 1 if g.n == 1 else 0
-    busiest = max(g.sorted_vertices(), key=lambda v: (g.degree(v), _vkey(v)))
-    e = min(g.incident(busiest), key=_vkey)
-    contracted, _ = g.contract_edge(e)
-    return count_deletion_contraction(contracted) + count_deletion_contraction(
-        g.delete_edge(e)
-    )
+    total, nodes, pending = 0, 0, [graph]
+    while pending:
+        nodes += 1
+        if nodes > DC_NODE_BUDGET:
+            raise PreconditionError(
+                f"deletion-contraction budget exceeded: > {DC_NODE_BUDGET} nodes"
+            )
+        g = _without_loops(pending.pop())
+        if not g.is_connected():
+            continue
+        while (
+            bridge := next((e for e in g.edge_ids() if g.is_bridge(e)), None)
+        ) is not None:
+            g = _without_loops(g.contract_edge(bridge)[0])
+        if g.m == 0:
+            total += 1  # connected without edges: a single vertex
+            continue
+        busiest = max(g.sorted_vertices(), key=lambda v: (g.degree(v), _vkey(v)))
+        e = min(g.incident(busiest), key=_vkey)
+        pending += [g.delete_edge(e), g.contract_edge(e)[0]]
+    return total
 
 
 def count_enumeration(graph: Multigraph, max_edges: int = 20) -> int:
@@ -220,10 +230,7 @@ def union_cut_vertex(t_parts: Sequence[int]) -> int:
     parts = list(t_parts)
     if not parts:
         raise GraphError("need at least one part")
-    out = 1
-    for t in parts:
-        out *= t
-    return out
+    return prod(parts)
 
 
 def union_two_vertices(t1: int, t1pq: int, t2: int, t2pq: int) -> int:
@@ -246,33 +253,18 @@ def union_k_banana(t_list: Sequence[int], tpq_list: Sequence[int]) -> int:
     if len(ts) != len(tpqs) or not ts:
         raise GraphError("need matching nonempty count lists")
     if any(t <= 0 for t in tpqs):
-        raise GraphError("identified part counts must be positive")
-    total = 0
-    for i, t in enumerate(ts):
-        prod = t
-        for j, tpq in enumerate(tpqs):
-            if j != i:
-                prod *= tpq
-        total += prod
-    return total
+        raise GraphError("counts in the products must be positive")
+    return sum(
+        t * prod(tpq for j, tpq in enumerate(tpqs) if j != i)
+        for i, t in enumerate(ts)
+    )
 
 
 def union_cycle_replacement(t_list: Sequence[int], t_st_list: Sequence[int]) -> int:
     """Cycle of parts, edge i replaced by a graph with terminal pair (s_i, t_i):
-    sum_i t_st_i * prod_{j != i} t_j."""
-    ts, tsts = list(t_list), list(t_st_list)
-    if len(ts) != len(tsts) or not ts:
-        raise GraphError("need matching nonempty count lists")
-    if any(t <= 0 for t in ts):
-        raise GraphError("part counts must be positive")
-    total = 0
-    for i, tst in enumerate(tsts):
-        prod = tst
-        for j, t in enumerate(ts):
-            if j != i:
-                prod *= t
-        total += prod
-    return total
+    sum_i t_st_i * prod_{j != i} t_j.  That is a banana with the roles of
+    t and t_st swapped: the part counts are the ones that must be positive."""
+    return union_k_banana(t_st_list, t_list)
 
 
 def union_banana_of_paths(part_counts: Sequence[Sequence[Tuple[int, int]]]) -> int:
@@ -281,30 +273,16 @@ def union_banana_of_paths(part_counts: Sequence[Sequence[Tuple[int, int]]]) -> i
     ``part_counts[i]`` lists, per segment j of branch i, the pair
     (t(G_ij), t(G_ij with its two terminals identified)).  Each branch is a
     chain of the segments; the branches are glued in parallel between two
-    hubs.
+    hubs.  A branch counts prod_j t(G_ij) trees, and with its hubs
+    identified it is a ring of its segments.
     """
     if not part_counts:
         raise GraphError("need at least one branch")
-    branch_t = []
-    branch_tpq = []
+    branch_t, branch_tpq = [], []
     for segments in part_counts:
-        segs = list(segments)
-        if not segs:
-            raise GraphError("branch with no segments")
-        if any(t <= 0 for t, _ in segs):
-            raise GraphError("segment counts must be positive")
-        prod = 1
-        for t, _ in segs:
-            prod *= t
-        chained = 0
-        for j, (_, tst) in enumerate(segs):
-            term = tst
-            for jj, (t, _) in enumerate(segs):
-                if jj != j:
-                    term *= t
-            chained += term
-        branch_t.append(prod)
-        branch_tpq.append(chained)
+        ts = [t for t, _ in segments]
+        branch_tpq.append(union_cycle_replacement(ts, [tst for _, tst in segments]))
+        branch_t.append(prod(ts))
     return union_k_banana(branch_t, branch_tpq)
 
 
@@ -361,6 +339,14 @@ def removable_vertices(graph: Multigraph) -> list:
     ]
 
 
+def _subsets(weighted: Sequence[Tuple[VertexId, int]], smallest: int):
+    """Each subset of the (vertex, weight) pairs with at least ``smallest``
+    members, by size and then in order, as (vertices, product of weights)."""
+    for size in range(smallest, len(weighted) + 1):
+        for subset in combinations(weighted, size):
+            yield tuple(v for v, _ in subset), prod(a for _, a in subset)
+
+
 class ExpansionTerm(NamedTuple):
     subset: tuple  # neighbor vertices identified together
     coefficient: int  # product of the edge multiplicities
@@ -389,15 +375,10 @@ def vertex_deletion_count(
     lead = ExpansionTerm((), sum(a for _, a in neighbors), t_h)
     terms = [lead]
     total = lead.coefficient * lead.count
-    for size in range(2, len(neighbors) + 1):
-        for subset in combinations(neighbors, size):
-            coeff = 1
-            for _, a in subset:
-                coeff *= a
-            vs = tuple(v for v, _ in subset)
-            cnt = count_identified(h, [vs])
-            terms.append(ExpansionTerm(vs, coeff, cnt))
-            total += coeff * cnt
+    for vs, coeff in _subsets(neighbors, 2):
+        cnt = count_identified(h, [vs])
+        terms.append(ExpansionTerm(vs, coeff, cnt))
+        total += coeff * cnt
     return total, terms
 
 
@@ -421,13 +402,8 @@ def star_augmentation_count(
         if a < 1:
             raise GraphError("edge multiplicities must be >= 1")
     total = count_matrix_tree(graph)
-    for size in range(1, len(tgt) + 1):
-        for subset in combinations(tgt, size):
-            coeff = 1
-            for _, a in subset:
-                coeff *= a
-            group = tuple(v for v, _ in subset) + (anchor,)
-            total += coeff * count_identified(graph, [group])
+    for vs, coeff in _subsets(tgt, 1):
+        total += coeff * count_identified(graph, [vs + (anchor,)])
     return total
 
 
@@ -455,6 +431,17 @@ def add_star_edges(
 # -- quadratic identification identities ------------------------------------
 
 
+def _bracket(graph: Multigraph, p, q, s, t) -> int:
+    """t(G_ps) - t(G_qs) - t(G_pt) + t(G_qt), which equals
+    2 t(G) (j_p(q, s) - j_p(q, t)) on unit lengths."""
+    return (
+        identified_count(graph, (p, s))
+        - identified_count(graph, (q, s))
+        - identified_count(graph, (p, t))
+        + identified_count(graph, (q, t))
+    )
+
+
 def identification_quadratic(
     graph: Multigraph, p: VertexId, q: VertexId, s: VertexId, t: VertexId
 ) -> Fraction:
@@ -468,12 +455,7 @@ def identification_quadratic(
     for v in (p, q, s, t):
         graph._require_vertex(v)
     lhs = count_matrix_tree(graph) * identified_count(graph, (p, q), (s, t))
-    bracket = (
-        identified_count(graph, (p, s))
-        - identified_count(graph, (q, s))
-        - identified_count(graph, (p, t))
-        + identified_count(graph, (q, t))
-    )
+    bracket = _bracket(graph, p, q, s, t)
     rhs = Fraction(
         4 * identified_count(graph, (s, t)) * identified_count(graph, (p, q))
         - bracket * bracket,
@@ -498,12 +480,7 @@ def contraction_identity(
         g, ren = graph.contract_edge(e)
         contracted = count_matrix_tree(g)
         contracted_st = identified_count(g, (ren[s], ren[t]))
-    bracket = (
-        identified_count(graph, (ed.u, s))
-        - identified_count(graph, (ed.v, s))
-        - identified_count(graph, (ed.u, t))
-        + identified_count(graph, (ed.v, t))
-    )
+    bracket = _bracket(graph, ed.u, ed.v, s, t)
     lhs = count_matrix_tree(graph) * contracted_st
     rhs = Fraction(
         4 * identified_count(graph, (s, t)) * contracted - bracket * bracket, 4
@@ -520,12 +497,7 @@ def deletion_identity(
     for v in (s, t):
         graph._require_vertex(v)
     g = graph.delete_edge(e)
-    bracket = (
-        identified_count(graph, (ed.u, s))
-        - identified_count(graph, (ed.v, s))
-        - identified_count(graph, (ed.u, t))
-        + identified_count(graph, (ed.v, t))
-    )
+    bracket = _bracket(graph, ed.u, ed.v, s, t)
     lhs = count_matrix_tree(graph) * identified_count(g, (s, t))
     rhs = Fraction(
         4 * identified_count(graph, (s, t)) * count_matrix_tree(g)
@@ -544,7 +516,7 @@ def spanning_tree_euler(
     Bridge form:    t(G_st) = k t(G) + (sum over non-bridges) / (4 t(G)),
                     k = number of bridges separating s from t.
 
-    bracket_e = t(G_{p_e s}) - t(G_{p_e t}) - t(G_{q_e s}) + t(G_{q_e t}).
+    bracket_e = t(G_{p_e s}) - t(G_{q_e s}) - t(G_{p_e t}) + t(G_{q_e t}).
     Returns (uniform residual, bridge-form residual); both must be zero."""
     for v in (s, t):
         graph._require_vertex(v)
@@ -554,13 +526,7 @@ def spanning_tree_euler(
     nonbridge_sum = 0
     k = 0
     for ed in graph.edges():
-        bracket = (
-            identified_count(graph, (ed.u, s))
-            - identified_count(graph, (ed.u, t))
-            - identified_count(graph, (ed.v, s))
-            + identified_count(graph, (ed.v, t))
-        )
-        sq = bracket * bracket
+        sq = _bracket(graph, ed.u, ed.v, s, t) ** 2
         full_sum += sq
         if ed.is_loop() or not graph.is_bridge(ed.id):
             nonbridge_sum += sq
@@ -633,41 +599,34 @@ def union_at(
     return Multigraph(set(g1.vertices()) | set(vmap.values()), edges)
 
 
+def _glue(parts: Sequence[Tuple[Multigraph, VertexId, VertexId]], ends) -> Multigraph:
+    """Disjoint copies of the parts, part i's (s, t) terminals mapped onto
+    the hub pair ``ends[i]`` and its other vertices v renamed (i, v)."""
+    if not parts:
+        raise GraphError("need at least one part")
+    vertices = {hub for pair in ends for hub in pair}
+    edges = []
+    for i, ((g, s, t), (hub_s, hub_t)) in enumerate(zip(parts, ends)):
+        g._require_vertex(s)
+        g._require_vertex(t)
+        vmap = {v: (i, v) for v in g.vertices()}
+        vmap[s], vmap[t] = hub_s, hub_t
+        vertices |= set(vmap.values())
+        edges.extend(_relabeled_edges(g, vmap, i))
+    return Multigraph(vertices, edges)
+
+
 def chain_of(
     parts: Sequence[Tuple[Multigraph, VertexId, VertexId]], close: bool = False
 ) -> Multigraph:
     """Chain the parts end to end along their (s, t) terminal pairs; with
     ``close`` the last terminal wraps to the first, forming a ring."""
     k = len(parts)
-    if k == 0:
-        raise GraphError("need at least one part")
     hubs = [("hub", i) for i in range(k if close else k + 1)]
-    vertices = set(hubs)
-    edges = []
-    for i, (g, s, t) in enumerate(parts):
-        g._require_vertex(s)
-        g._require_vertex(t)
-        vmap = {v: (i, v) for v in g.vertices()}
-        vmap[s] = hubs[i]
-        vmap[t] = hubs[(i + 1) % len(hubs)] if close else hubs[i + 1]
-        vertices |= set(vmap.values())
-        edges.extend(_relabeled_edges(g, vmap, i))
-    return Multigraph(vertices, edges)
+    return _glue(parts, [(hubs[i], hubs[(i + 1) % len(hubs)]) for i in range(k)])
 
 
 def banana_of(parts: Sequence[Tuple[Multigraph, VertexId, VertexId]]) -> Multigraph:
     """Glue every part between the same two hubs, s ends to one, t ends to
     the other."""
-    if not parts:
-        raise GraphError("need at least one part")
-    vertices = {("hub", 0), ("hub", 1)}
-    edges = []
-    for i, (g, s, t) in enumerate(parts):
-        g._require_vertex(s)
-        g._require_vertex(t)
-        vmap = {v: (i, v) for v in g.vertices()}
-        vmap[s] = ("hub", 0)
-        vmap[t] = ("hub", 1)
-        vertices |= set(vmap.values())
-        edges.extend(_relabeled_edges(g, vmap, i))
-    return Multigraph(vertices, edges)
+    return _glue(parts, [(("hub", 0), ("hub", 1))] * len(parts))

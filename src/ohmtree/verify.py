@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from itertools import count as _counter
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
@@ -295,46 +295,25 @@ def _eval_vol_transfer(graph, rng, samples, exhaustive):
         if graph.is_bridge(e):
             skipped += 1
         else:
-            out.append(
-                (
-                    f"cut:e={e},u={u},s={s},t={t}",
-                    resistnet.voltage_transfer_cutting(net, e, u, s, t),
-                    None,
-                )
-            )
-            out.append(
-                (
-                    f"contract:e={e},u={u},s={s},t={t}",
-                    resistnet.voltage_transfer_contraction(net, e, u, s, t),
-                    None,
-                )
-            )
-        p, q = rng.sample(verts, 2) if len(verts) >= 2 else (None, None)
-        if p is None:
+            for tag, law in (
+                ("cut", resistnet.voltage_transfer_cutting),
+                ("contract", resistnet.voltage_transfer_contraction),
+            ):
+                sel = f"{tag}:e={e},u={u},s={s},t={t}"
+                out.append((sel, law(net, e, u, s, t), None))
+        if len(verts) < 2:
             skipped += 1
             continue
-        out.append(
-            (
-                f"short:p={p},q={q},u={u},s={s},t={t}",
-                resistnet.voltage_transfer_shorting(net, p, q, u, s, t),
-                None,
+        p, q = rng.sample(verts, 2)
+        # the general placement, then the two degenerate ones: u = p, t = p
+        for uu, tt in ((u, t), (p, t), (u, p)):
+            out.append(
+                (
+                    f"short:p={p},q={q},u={uu},s={s},t={tt}",
+                    resistnet.voltage_transfer_shorting(net, p, q, uu, s, tt),
+                    None,
+                )
             )
-        )
-        # the two degenerate placements: u = p, then t = p
-        out.append(
-            (
-                f"short:p={p},q={q},u={p},s={s},t={t}",
-                resistnet.voltage_transfer_shorting(net, p, q, p, s, t),
-                None,
-            )
-        )
-        out.append(
-            (
-                f"short:p={p},q={q},u={u},s={s},t={p}",
-                resistnet.voltage_transfer_shorting(net, p, q, u, s, p),
-                None,
-            )
-        )
     return out, skipped
 
 
@@ -391,15 +370,9 @@ def _eval_vertex_del(graph, rng, samples, exhaustive):
             )
             out.append((f"three-neighbor:u={u}", Fraction(t_direct - special), None))
         elif len(neighbors) == 4:
-            mult = dict(neighbors)
-            vs = [v for v, _ in neighbors]
-            special = sum(mult.values()) * t_h
-            for size in (2, 3, 4):
-                for sub in combinations(vs, size):
-                    coeff = 1
-                    for v in sub:
-                        coeff *= mult[v]
-                    special += coeff * spantree.identified_count(h, sub)
+            special = sum(a for _, a in neighbors) * t_h
+            for sub, coeff in spantree._subsets(neighbors, 2):
+                special += coeff * spantree.identified_count(h, sub)
             out.append((f"four-neighbor:u={u}", Fraction(t_direct - special), None))
     return out, skipped
 

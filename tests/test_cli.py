@@ -1,5 +1,6 @@
 import pytest
 
+from ohmtree import spantree
 from ohmtree.cli import main, parse_graph_text
 
 TRIANGLE = """\
@@ -86,11 +87,14 @@ def test_exit_codes(tmp_path, capsys):
     tri = write(tmp_path, TRIANGLE, "tri.graph")
     assert main(["resistance", tri, "a", "zzz"]) == 4
     assert main(["derivative", tri, "nope", "a", "b"]) == 4
+    pendant = write(tmp_path, TRIANGLE + "edge e4 c d\n", "pendant.graph")
+    assert main(["derivative", pendant, "e4", "a", "zz"]) == 4
+    assert main(["derivative", pendant, "e4", "zz", "a"]) == 4
     assert main(["closed-form", "path", "1"]) == 5
     capsys.readouterr()
 
 
-def test_cmd_spantree_methods(tmp_path, capsys):
+def test_cmd_spantree_methods(tmp_path, capsys, monkeypatch):
     k5 = "\n".join(
         f"edge e{k} v{i} v{j}"
         for k, (i, j) in enumerate(
@@ -101,6 +105,11 @@ def test_cmd_spantree_methods(tmp_path, capsys):
     for method in ("matrix", "dc", "enum", "vertex-del"):
         assert main(["spantree", path, "--method", method]) == 0
         assert capsys.readouterr().out.strip() == "125"
+
+    # K5 takes a few hundred deletion-contraction nodes
+    monkeypatch.setattr(spantree, "DC_NODE_BUDGET", 10)
+    assert main(["spantree", path, "--method", "dc"]) == 5
+    assert "budget" in capsys.readouterr().err
 
 
 def test_cmd_identify(triangle_file, capsys):

@@ -183,6 +183,9 @@ def test_separates():
     assert g.separates("e1", "a", "c") and g.separates("e1", "b", "a")
     assert not g.separates("e2", "a", "c")  # the parallel edge e3 remains
     assert not g.separates("e1", "a", "a")
+    for s, t in (("a", "zz"), ("zz", "a"), ("zz", "zz")):
+        with pytest.raises(UnknownVertexError):
+            g.separates("e1", s, t)
 
 
 def test_bridge_iff_in_every_spanning_tree():
