@@ -33,12 +33,12 @@ def graphs(draw):
 
 @st.composite
 def edge_cases(draw):
-    """A graph, one of its edges and three of its vertices (u, s, t)."""
+    """A graph, one of its edges and four of its vertices (u, q, s, t),
+    drawn with replacement."""
     g = draw(graphs())
     e = draw(st.sampled_from(g.edge_ids()))
     vertex = st.sampled_from(g.sorted_vertices())
-    u, s, t = draw(st.tuples(vertex, vertex, vertex))
-    return g, e, u, s, t
+    return (g, e) + draw(st.tuples(vertex, vertex, vertex, vertex))
 
 
 def _drop(d):
@@ -63,7 +63,7 @@ EDGE_LAWS = {
 @SETTINGS
 @given(case=edge_cases())
 def test_non_bridge_edge_laws(law, case):
-    g, e, u, s, t = case
+    g, e, u, _, s, t = case
     assume(not g.is_bridge(e))
     assert EDGE_LAWS[law](Network(g), e, u, s, t) == 0
 
@@ -71,18 +71,17 @@ def test_non_bridge_edge_laws(law, case):
 @SETTINGS
 @given(case=edge_cases(), new_length=LENGTHS)
 def test_contraction_and_modification_laws(case, new_length):
-    g, e, _, s, t = case
+    g, e, _, _, s, t = case
     net = Network(g)
     assert _drop(resistnet.contraction_delta(net, e, s, t)) == 0
     assert _drop(resistnet.edge_modification_delta(net, e, new_length, s, t)) == 0
 
 
 @SETTINGS
-@given(case=edge_cases(), q=st.integers(0, 4))
-def test_bracket_identities(case, q):
-    g, e, p, s, t = case
+@given(case=edge_cases())
+def test_bracket_identities(case):
+    g, e, p, q, s, t = case
     g = g.with_unit_lengths()
-    q = g.sorted_vertices()[q % g.n]
     assert spantree.identification_quadratic(g, p, q, s, t) == 0
     assert spantree.contraction_identity(g, e, s, t) == 0
     assert spantree.deletion_identity(g, e, s, t) == 0
