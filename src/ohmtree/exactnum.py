@@ -3,7 +3,8 @@
 Scalars are plain ``int`` (unbounded in Python) and ``fractions.Fraction``,
 which is canonical by construction: always reduced, denominator positive.
 That canonicity is what lets every identity in this package be checked
-against literal zero instead of a tolerance.
+against literal zero instead of a tolerance.  The one Gauss-Jordan routine,
+:func:`invert_rows`, also serves the float mirror of the derivative check.
 """
 
 from __future__ import annotations
@@ -184,31 +185,37 @@ class Matrix:
         return Fraction(sign * work[n - 1][n - 1], scale)
 
     def inverse(self) -> "Matrix":
-        """Exact inverse by Gauss-Jordan elimination.
-
-        Raises SingularMatrixError (carrying the failing pivot column) when
-        no nonzero pivot exists.
-        """
+        """Exact inverse by :func:`invert_rows`; raises SingularMatrixError."""
         self._check_square()
-        n = self.rows
-        a = [list(row) for row in self._m]
-        b = [
-            [Fraction(int(i == j)) for j in range(n)] for i in range(n)
-        ]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if piv is None:
-                raise SingularMatrixError(col)
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                b[col], b[piv] = b[piv], b[col]
-            inv_p = 1 / a[col][col]
-            a[col] = [x * inv_p for x in a[col]]
-            b[col] = [x * inv_p for x in b[col]]
-            for r in range(n):
-                if r == col or a[r][col] == 0:
-                    continue
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                b[r] = [x - f * y for x, y in zip(b[r], b[col])]
-        return Matrix(b)
+        return Matrix(invert_rows(self._m, Fraction(1)))
+
+
+def invert_rows(rows: Sequence[Sequence], unit) -> list:
+    """Inverse of the square matrix ``rows`` by Gauss-Jordan elimination,
+    taking the first nonzero pivot of each column.
+
+    Works in any scalar field: ``unit`` is its one, ``Fraction(1)`` for the
+    exact inverse or ``1.0`` for the float mirror of the derivative check.
+    Raises SingularMatrixError (carrying the failing pivot column) when no
+    nonzero pivot exists.
+    """
+    n = len(rows)
+    a = [list(row) for row in rows]
+    b = [[unit * (i == j) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise SingularMatrixError(col)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            b[col], b[piv] = b[piv], b[col]
+        inv_p = 1 / a[col][col]
+        a[col] = [x * inv_p for x in a[col]]
+        b[col] = [x * inv_p for x in b[col]]
+        for r in range(n):
+            if r == col or a[r][col] == 0:
+                continue
+            f = a[r][col]
+            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+            b[r] = [x - f * y for x, y in zip(b[r], b[col])]
+    return b

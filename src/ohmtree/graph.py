@@ -290,6 +290,14 @@ class Multigraph:
                     stack.append(o)
         return True
 
+    def bridge_kind(self, e: EdgeId, s: VertexId, t: VertexId) -> str:
+        """How the edge sits between s and t: ``"bridge-on-path"`` for a
+        bridge that separates them, ``"bridge-off-path"`` for any other
+        bridge, ``"non-bridge"`` for a self-loop or an edge on a cycle."""
+        if self.edge(e).is_loop() or not self.is_bridge(e):
+            return "non-bridge"
+        return "bridge-on-path" if self.separates(e, s, t) else "bridge-off-path"
+
     def laplacian_rows(self, conductance: Callable[[Edge], object]) -> list:
         """Laplacian rows in sorted vertex order: off-diagonal -(sum of
         ``conductance(edge)`` over the joining edges), diagonal chosen so

@@ -8,7 +8,8 @@ obtained from one rational matrix inversion through the rank-one correction
 
 so every identity evaluator below can report a residual that is literally
 zero.  The only floating-point code is the finite-difference mirror used to
-cross-check the derivative formula.
+cross-check the derivative formula; it runs through the same Gauss-Jordan
+routine with float scalars.
 
 Derived quantities for a surgered graph (vertices identified, an edge deleted
 or contracted, a length changed) are always computed by building the surgered
@@ -22,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from typing import Dict, List, NamedTuple, Tuple
 
-from .exactnum import Matrix, SingularMatrixError, rational
+from .exactnum import Matrix, SingularMatrixError, invert_rows, rational
 from .graph import (
     DisconnectedError,
     EdgeId,
@@ -132,12 +133,6 @@ class EulerTerm(NamedTuple):
     contribution: Fraction
 
 
-def _bridge_kind(graph: Multigraph, ed, s: VertexId, t: VertexId) -> str:
-    if ed.is_loop() or not graph.is_bridge(ed.id):
-        return "non-bridge"
-    return "bridge-on-path" if graph.separates(ed.id, s, t) else "bridge-off-path"
-
-
 def _cut(net: Network, e: EdgeId, law: str = ""):
     """Cut-graph data of the edge e = (p, q): the network G - e, its
     resistance R_e = r'(p, q) and the voltage x -> j'_p(q, x).  With ``law``
@@ -154,9 +149,10 @@ def _loop_or_bridge(net: Network, ed, s: VertexId, t: VertexId, drop: Fraction):
     the bridge separates s from t, else 0); None for any other edge."""
     if ed.is_loop():
         return Fraction(0)
-    if net.graph.is_bridge(ed.id):
-        return drop if net.graph.separates(ed.id, s, t) else Fraction(0)
-    return None
+    kind = net.graph.bridge_kind(ed.id, s, t)
+    if kind == "non-bridge":
+        return None
+    return drop if kind == "bridge-on-path" else Fraction(0)
 
 
 def resistance_derivative(
@@ -168,8 +164,9 @@ def resistance_derivative(
     s == t): 0.  Non-bridge: the squared voltage difference across the edge's
     endpoints in the deleted graph, divided by (L + R)^2.
     """
-    if net.graph.is_bridge(e):
-        return Fraction(1 if net.graph.separates(e, s, t) else 0)
+    kind = net.graph.bridge_kind(e, s, t)
+    if kind != "non-bridge":
+        return Fraction(1 if kind == "bridge-on-path" else 0)
     _, big_r, j = _cut(net, e)
     diff = j(s) - j(t)
     return diff * diff / (net.graph.length(e) + big_r) ** 2
@@ -186,7 +183,7 @@ def euler_decomposition(net: Network, s: VertexId, t: VertexId) -> List[EulerTer
     net._i(s), net._i(t)
     terms = []
     for ed in net.graph.edges():
-        kind = _bridge_kind(net.graph, ed, s, t)
+        kind = net.graph.bridge_kind(ed.id, s, t)
         if kind == "non-bridge":
             diff = net.voltage(ed.u, ed.v, s) - net.voltage(ed.u, ed.v, t)
             c = diff * diff / ed.length
@@ -205,7 +202,7 @@ def euler_decomposition_resistance_only(
     net._i(s), net._i(t)
     terms = []
     for ed in net.graph.edges():
-        kind = _bridge_kind(net.graph, ed, s, t)
+        kind = net.graph.bridge_kind(ed.id, s, t)
         diff = (
             net.resistance(ed.u, s)
             - net.resistance(ed.v, s)
@@ -351,22 +348,21 @@ def voltage_transfer_contraction(
 def float_resistance(
     graph: Multigraph, p: VertexId, q: VertexId, length_override=None
 ) -> float:
-    """Resistance computed with binary floats by the same rank-one-correction
-    algorithm.  Used only to cross-check the exact derivative against central
-    finite differences; ``length_override`` maps edge ids to float lengths."""
-    import numpy as np  # only the derivative cross-check needs numpy
+    """Resistance computed with binary floats.  Used only to cross-check the
+    exact derivative against central finite differences; ``length_override``
+    maps edge ids to float lengths.
 
+    The Laplacian is grounded at the first sorted vertex: without its row
+    and column it is symmetric positive definite, so the shared Gauss-Jordan
+    routine needs no pivoting.  Padded with zeros for that vertex, its
+    inverse G gives r(p, q) = G[p,p] - 2 G[p,q] + G[q,q]."""
     override = length_override or {}
-    lap = np.array(
-        graph.laplacian_rows(lambda e: 1.0 / override.get(e.id, float(e.length))),
-        dtype=float,
-    )
-    n = graph.n
-    j_over_n = np.full((n, n), 1.0 / n)
-    lplus = np.linalg.inv(lap - j_over_n) + j_over_n
+    rows = graph.laplacian_rows(lambda e: 1.0 / override.get(e.id, float(e.length)))
+    grounded = invert_rows([row[1:] for row in rows[1:]], 1.0)
+    g = [[0.0] * graph.n] + [[0.0] + row for row in grounded]
     order = graph.sorted_vertices()
     i, j = order.index(p), order.index(q)
-    return lplus[i, i] - 2.0 * lplus[i, j] + lplus[j, j]
+    return g[i][i] - 2.0 * g[i][j] + g[j][j]
 
 
 def resistance_fd(

@@ -528,9 +528,10 @@ def spanning_tree_euler(
     for ed in graph.edges():
         sq = _bracket(graph, ed.u, ed.v, s, t) ** 2
         full_sum += sq
-        if ed.is_loop() or not graph.is_bridge(ed.id):
+        kind = graph.bridge_kind(ed.id, s, t)
+        if kind == "non-bridge":
             nonbridge_sum += sq
-        elif graph.separates(ed.id, s, t):
+        elif kind == "bridge-on-path":
             k += 1
     uniform = Fraction(4 * t_g * t_st - full_sum)
     bridge_form = Fraction(4 * t_g * t_st - 4 * t_g * t_g * k - nonbridge_sum)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from itertools import count as _counter
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
@@ -398,105 +399,78 @@ def _small_part(rng, n_min=3, n_max=4) -> Multigraph:
     return _random_connected(rng, n_min, n_max, n_min, n_max + 2, 0.2, 0.0, "unit")
 
 
+def _terminals(rng, parts, k):
+    """Each part as ``(graph, *terminals)`` with k distinct terminals drawn
+    per part, after every part has been drawn."""
+    return [(g, *rng.sample(g.sorted_vertices(), k)) for g in parts]
+
+
+def _counts(parts):
+    """Per part: t(G), and t(G) with the part's terminals identified."""
+    return (
+        [spantree.count_matrix_tree(g) for g, *_ in parts],
+        [spantree.identified_count(g, ts) for g, *ts in parts],
+    )
+
+
 def _eval_unions(graph, rng, samples, exhaustive):
+    tcount = spantree.count_matrix_tree
     out: List[Check] = []
 
-    def tcount(g):
-        return spantree.count_matrix_tree(g)
+    def check(label, glued, formula):
+        out.append((label, Fraction(tcount(glued) - formula), None))
 
     # one shared vertex: product rule
-    g1, g2 = _small_part(rng), _small_part(rng)
-    x1, x2 = rng.choice(g1.sorted_vertices()), rng.choice(g2.sorted_vertices())
-    glued = spantree.union_at(g1, [x1], g2, [x2])
-    out.append(
-        ("cut-vertex", Fraction(tcount(glued) - tcount(g1) * tcount(g2)), None)
-    )
+    (g1, x1), (g2, x2) = _terminals(rng, [_small_part(rng), _small_part(rng)], 1)
+    check("cut-vertex", spantree.union_at(g1, [x1], g2, [x2]), tcount(g1) * tcount(g2))
 
     # two shared vertices: bilinear rule
-    g1, g2 = _small_part(rng), _small_part(rng)
-    p1, q1 = rng.sample(g1.sorted_vertices(), 2)
-    p2, q2 = rng.sample(g2.sorted_vertices(), 2)
+    pair = _terminals(rng, [_small_part(rng), _small_part(rng)], 2)
+    (g1, p1, q1), (g2, p2, q2) = pair
+    (t1, t2), (t1pq, t2pq) = _counts(pair)
     glued = spantree.union_at(g1, [p1, q1], g2, [p2, q2])
-    formula = spantree.union_two_vertices(
-        tcount(g1),
-        spantree.identified_count(g1, (p1, q1)),
-        tcount(g2),
-        spantree.identified_count(g2, (p2, q2)),
-    )
-    out.append(("two-vertex", Fraction(tcount(glued) - formula), None))
+    check("two-vertex", glued, spantree.union_two_vertices(t1, t1pq, t2, t2pq))
 
-    # path glued across two vertices
+    # path glued across two vertices of the same g1, counted afresh
     k = rng.randint(2, 4)
-    path = path_graph(k + 1)
-    glued = spantree.union_at(g1, [p1, q1], path, ["v1", f"v{k + 1}"])
-    formula = spantree.path_attachment(
-        tcount(g1), spantree.identified_count(g1, (p1, q1)), k
-    )
-    out.append(("path-attach", Fraction(tcount(glued) - formula), None))
+    glued = spantree.union_at(g1, [p1, q1], path_graph(k + 1), ["v1", f"v{k + 1}"])
+    (t1,), (t1pq,) = _counts(pair[:1])
+    check("path-attach", glued, spantree.path_attachment(t1, t1pq, k))
 
-    # k parts sharing the same two vertices
-    kparts = [_small_part(rng) for _ in range(rng.randint(2, 3))]
-    picks = [tuple(rng.sample(g.sorted_vertices(), 2)) for g in kparts]
-    glued = spantree.banana_of(
-        [(g, a, b) for g, (a, b) in zip(kparts, picks)]
-    )
-    formula = spantree.union_k_banana(
-        [tcount(g) for g in kparts],
-        [spantree.identified_count(g, ab) for g, ab in zip(kparts, picks)],
-    )
-    out.append(("k-banana", Fraction(tcount(glued) - formula), None))
-
-    # ring of parts
-    rparts = [_small_part(rng) for _ in range(rng.randint(2, 3))]
-    rpicks = [tuple(rng.sample(g.sorted_vertices(), 2)) for g in rparts]
-    glued = spantree.chain_of(
-        [(g, a, b) for g, (a, b) in zip(rparts, rpicks)], close=True
-    )
-    formula = spantree.union_cycle_replacement(
-        [tcount(g) for g in rparts],
-        [spantree.identified_count(g, ab) for g, ab in zip(rparts, rpicks)],
-    )
-    out.append(("cycle-replace", Fraction(tcount(glued) - formula), None))
+    # k parts sharing the same two vertices, then a ring of parts
+    for label, glue, law in (
+        ("k-banana", spantree.banana_of, spantree.union_k_banana),
+        (
+            "cycle-replace",
+            partial(spantree.chain_of, close=True),
+            spantree.union_cycle_replacement,
+        ),
+    ):
+        parts = _terminals(rng, [_small_part(rng) for _ in range(rng.randint(2, 3))], 2)
+        check(label, glue(parts), law(*_counts(parts)))
 
     # banana of path-replaced branches
-    branches = []
-    counts = []
+    branches, counts = [], []
     for _ in range(2):
-        segs = [_small_part(rng) for _ in range(rng.randint(1, 2))]
-        spicks = [tuple(rng.sample(g.sorted_vertices(), 2)) for g in segs]
-        chain = spantree.chain_of(
-            [(g, a, b) for g, (a, b) in zip(segs, spicks)]
-        )
-        branches.append((chain, ("hub", 0), ("hub", len(segs))))
-        counts.append(
-            [
-                (tcount(g), spantree.identified_count(g, ab))
-                for g, ab in zip(segs, spicks)
-            ]
-        )
-    glued = spantree.banana_of(branches)
+        segs = _terminals(rng, [_small_part(rng) for _ in range(rng.randint(1, 2))], 2)
+        branches.append((spantree.chain_of(segs), ("hub", 0), ("hub", len(segs))))
+        counts.append(list(zip(*_counts(segs))))
     formula = spantree.union_banana_of_paths(counts)
-    out.append(("banana-of-paths", Fraction(tcount(glued) - formula), None))
+    check("banana-of-paths", spantree.banana_of(branches), formula)
 
     # three shared vertices
-    g1 = _random_connected(rng, 4, 5, 5, 7, 0.2, 0.0, "unit")
-    g2 = _random_connected(rng, 4, 5, 5, 7, 0.2, 0.0, "unit")
-    p1, q1, s1 = rng.sample(g1.sorted_vertices(), 3)
-    p2, q2, s2 = rng.sample(g2.sorted_vertices(), 3)
+    big = [_random_connected(rng, 4, 5, 5, 7, 0.2, 0.0, "unit") for _ in range(2)]
+    triple = _terminals(rng, big, 3)
+    (g1, p1, q1, s1), (g2, p2, q2, s2) = triple
+    (t1, t2), (t1pqs, t2pqs) = _counts(triple)
+    pairwise = [
+        spantree.identified_count(g, ab)
+        for g, p, q, s in triple
+        for ab in ((p, s), (p, q), (q, s))
+    ]
     glued = spantree.union_at(g1, [p1, q1, s1], g2, [p2, q2, s2])
-    formula = spantree.union_three_vertices(
-        tcount(g1),
-        tcount(g2),
-        spantree.identified_count(g1, (p1, s1)),
-        spantree.identified_count(g1, (p1, q1)),
-        spantree.identified_count(g1, (q1, s1)),
-        spantree.identified_count(g2, (p2, s2)),
-        spantree.identified_count(g2, (p2, q2)),
-        spantree.identified_count(g2, (q2, s2)),
-        spantree.identified_count(g1, (p1, q1, s1)),
-        spantree.identified_count(g2, (p2, q2, s2)),
-    )
-    out.append(("three-vertex", Fraction(tcount(glued) - formula), None))
+    formula = spantree.union_three_vertices(t1, t2, *pairwise, t1pqs, t2pqs)
+    check("three-vertex", glued, formula)
     return out, 0
 
 

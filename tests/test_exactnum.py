@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from ohmtree.exactnum import Matrix, SingularMatrixError, rational
+from ohmtree.exactnum import Matrix, SingularMatrixError, invert_rows, rational
 
 
 def cofactor_det(m: Matrix) -> Fraction:
@@ -103,6 +103,31 @@ def test_inverse_singular_reports_pivot():
     with pytest.raises(SingularMatrixError) as info:
         Matrix([[0, 0], [0, 1]]).inverse()
     assert info.value.pivot == 0
+    with pytest.raises(SingularMatrixError) as info:
+        invert_rows([[1.0, 2.0], [2.0, 4.0]], 1.0)
+    assert info.value.pivot == 1
+
+
+def test_float_inverse_matches_exact():
+    # a grounded weighted Laplacian, connected through the edges (i-1, i):
+    # the float mirror's inverse agrees with the exact one
+    rng = random.Random(6)
+    for n in range(2, 9):
+        lap = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i):
+                c = Fraction(rng.randint(int(j < i - 1), 4), rng.randint(1, 4))
+                lap[i][j] = lap[j][i] = -c
+                lap[i][i] += c
+                lap[j][j] += c
+        grounded = Matrix(lap).drop(0, 0)
+        exact = grounded.inverse()
+        floats = [[float(x) for x in grounded.row(i)] for i in range(n - 1)]
+        approx = invert_rows(floats, 1.0)
+        scale = max(abs(float(exact[i, j])) for i in range(n - 1) for j in range(n - 1))
+        for i in range(n - 1):
+            for j in range(n - 1):
+                assert abs(approx[i][j] - float(exact[i, j])) <= 1e-12 * scale
 
 
 def test_matrix_operations():

@@ -179,10 +179,19 @@ def test_is_bridge():
 
 
 def test_separates():
-    g = Multigraph.from_edges([("a", "b"), ("b", "c"), ("c", "b")])
+    g = Multigraph.from_edges(
+        [("a", "b"), ("b", "c"), ("c", "b"), ("c", "d"), ("d", "d")]
+    )
     assert g.separates("e1", "a", "c") and g.separates("e1", "b", "a")
     assert not g.separates("e2", "a", "c")  # the parallel edge e3 remains
     assert not g.separates("e1", "a", "a")
+    kinds = {e: g.bridge_kind(e, "a", "c") for e in ("e1", "e2", "e4", "e5")}
+    assert kinds == {
+        "e1": "bridge-on-path",
+        "e2": "non-bridge",  # on the cycle e2 e3
+        "e4": "bridge-off-path",
+        "e5": "non-bridge",  # self-loop
+    }
     for s, t in (("a", "zz"), ("zz", "a"), ("zz", "zz")):
         with pytest.raises(UnknownVertexError):
             g.separates("e1", s, t)

@@ -230,10 +230,20 @@ def test_derivative_matches_finite_differences():
             assert abs(fd - float(exact)) <= 1e-6 * max(1.0, abs(float(exact)))
 
 
-def test_import_does_not_load_numpy():
-    # numpy serves only the float mirror, loaded when a derivative is checked
+def test_numpy_is_never_loaded():
+    # the float mirror of the derivative check runs on the same Gauss-Jordan
+    # routine as the exact inverse, so no code path needs numpy
     src = str(Path(ohmtree.__file__).resolve().parents[1])
-    code = "import sys, ohmtree, ohmtree.cli; assert 'numpy' not in sys.modules"
+    code = "\n".join([
+        "import sys, ohmtree, ohmtree.cli",
+        "from ohmtree import Multigraph, resistnet, verify",
+        "g = Multigraph.from_edges([('a', 'b', 1), ('b', 'c', 2), ('c', 'a', 3)])",
+        "assert abs(resistnet.resistance_fd(g, 'e1', 'a', 'c') - 1 / 4) < 1e-6",
+        "spec = verify.GraphGenSpec(seed=1)",
+        "result = verify.run_suite(spec, tags=('derivative',), instances=2)",
+        "assert result.reports and result.all_passed()",
+        "assert 'numpy' not in sys.modules",
+    ])
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 

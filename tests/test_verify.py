@@ -124,25 +124,20 @@ def test_requested_tag_without_checks_fails():
 
 
 def _report_digest(result):
-    # derivative residuals come from LAPACK floats, which may differ across
-    # machines, so that field is left out of derivative lines
-    lines = []
-    for r in result.reports:
-        fields = r.line().split(" ")
-        if r.tag == "derivative":
-            del fields[3]
-        lines.append(" ".join(fields))
+    # whole lines: the derivative residuals come from pure-Python IEEE floats,
+    # which give the same bits on every machine
+    lines = [r.line() for r in result.reports]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16], len(lines)
 
 
 @pytest.mark.parametrize(
     "spec, kwargs, expected",
     [
-        (GraphGenSpec(seed=17), {"instances": 5}, ("7269bd62be6c45b9", 635)),
+        (GraphGenSpec(seed=17), {"instances": 5}, ("6de3c36650d73954", 635)),
         (
             GraphGenSpec(seed=3, n_min=3, n_max=3, m_min=3, m_max=5),
             {"instances": 2, "exhaustive": True},
-            ("fc5f993ea4e631ce", 2117),
+            ("498ccd941dc38586", 2117),
         ),
     ],
 )
