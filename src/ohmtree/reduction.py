@@ -17,7 +17,7 @@ some graphs; a step budget makes the reducer bail out with ``None`` instead.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, count
 from typing import List, NamedTuple, Optional, Tuple
 
 from .graph import Edge, GraphError, Multigraph, VertexId, _vkey
@@ -91,12 +91,9 @@ def _fresh_center(graph: Multigraph) -> str:
 
 
 def _fresh_edge_id(graph: Multigraph, base: str) -> str:
-    if base not in {e.id for e in graph.edges()}:
-        return base
-    k = 2
-    while f"{base}_{k}" in {e.id for e in graph.edges()}:
-        k += 1
-    return f"{base}_{k}"
+    taken = {e.id for e in graph.edges()}
+    candidates = chain([base], (f"{base}_{k}" for k in count(2)))
+    return next(eid for eid in candidates if eid not in taken)
 
 
 def reduce_two_terminal(
@@ -116,35 +113,21 @@ def reduce_two_terminal(
     trace = ReductionTrace()
     budget = max(10 * graph.m, 50)
     g = graph
-    fresh = _Counter()
+    parallel_ids, series_ids = count(1), count(1)
     for _ in range(budget):
         done = _finished(g, s, t)
         if done is not None:
             return done, trace
         g2 = (
             _drop_loop(g, trace)
-            or _merge_parallel(g, trace, fresh)
-            or _merge_series(g, trace, fresh, s, t)
+            or _merge_parallel(g, trace, parallel_ids)
+            or _merge_series(g, trace, series_ids, s, t)
             or _apply_delta_y(g, trace)
         )
         if g2 is None:
             return None, trace
         g = g2
     return None, trace
-
-
-class _Counter:
-    def __init__(self):
-        self.parallel = 0
-        self.series = 0
-
-    def next_parallel(self):
-        self.parallel += 1
-        return f"par{self.parallel}"
-
-    def next_series(self):
-        self.series += 1
-        return f"ser{self.series}"
 
 
 def _finished(g: Multigraph, s, t) -> Optional[Fraction]:
@@ -163,7 +146,7 @@ def _drop_loop(g: Multigraph, trace) -> Optional[Multigraph]:
     return None
 
 
-def _merge_parallel(g: Multigraph, trace, fresh) -> Optional[Multigraph]:
+def _merge_parallel(g: Multigraph, trace, ids) -> Optional[Multigraph]:
     pairs = {}
     for ed in g.edges():
         if ed.is_loop():
@@ -175,14 +158,14 @@ def _merge_parallel(g: Multigraph, trace, fresh) -> Optional[Multigraph]:
         if len(group) < 2:
             continue
         conductance = sum((1 / ed.length for ed in group), Fraction(0))
-        merged = Edge(fresh.next_parallel(), key[0], key[1], 1 / conductance)
+        merged = Edge(f"par{next(ids)}", key[0], key[1], 1 / conductance)
         trace.add("parallel", tuple(ed.id for ed in group), (merged,))
         kept = [ed for ed in g.edges() if ed not in group]
         return Multigraph(g.vertices(), kept + [merged])
     return None
 
 
-def _merge_series(g: Multigraph, trace, fresh, s, t) -> Optional[Multigraph]:
+def _merge_series(g: Multigraph, trace, ids, s, t) -> Optional[Multigraph]:
     for v in g.sorted_vertices():
         if v in (s, t):
             continue
@@ -191,7 +174,7 @@ def _merge_series(g: Multigraph, trace, fresh, s, t) -> Optional[Multigraph]:
             continue
         e1, e2 = (g.edge(e) for e in inc)
         merged = Edge(
-            fresh.next_series(),
+            f"ser{next(ids)}",
             e1.other_end(v),
             e2.other_end(v),
             e1.length + e2.length,

@@ -1,15 +1,15 @@
 """Effective resistance and voltage via the exact Laplacian pseudo-inverse.
 
 A :class:`Network` wraps a connected multigraph, viewing each edge of length
-L as a resistor of L ohms.  Everything here is exact: the pseudo-inverse is
-obtained from one rational matrix inversion through the rank-one correction
-
-    Lplus = (L - J/n)^-1 + J/n,
-
-so every identity evaluator below can report a residual that is literally
-zero.  The only floating-point code is the finite-difference mirror used to
-cross-check the derivative formula; it runs through the same Gauss-Jordan
-routine with float scalars.
+L as a resistor of L ohms.  Everything here is exact.  The Laplacian is
+grounded at its first sorted vertex: without that row and column it is
+invertible, and its inverse G, padded with zeros for the vertex, gives the
+pseudo-inverse P G P with P = I - J/n.  That is one rational matrix inversion
+per network, so every identity evaluator below can report a residual that is
+literally zero.  The only floating-point code is the finite-difference mirror
+used to cross-check the derivative formula; it grounds the float Laplacian
+the same way and runs through the same Gauss-Jordan routine with float
+scalars.
 
 Derived quantities for a surgered graph (vertices identified, an edge deleted
 or contracted, a length changed) are always computed by building the surgered
@@ -43,19 +43,23 @@ def laplacian(graph: Multigraph) -> Matrix:
 
 
 def pseudo_inverse(lap: Matrix) -> Matrix:
-    """Moore-Penrose pseudo-inverse of a connected-graph Laplacian via the
-    rank-one correction (L - J/n)^-1 + J/n."""
+    """Moore-Penrose pseudo-inverse of a connected-graph Laplacian: the
+    inverse G of L grounded at vertex 0, padded with zeros for that vertex,
+    centred as P G P with P = I - J/n."""
     n = lap.rows
     if n == 0:
         raise ValueError("empty matrix")
-    j_over_n = Matrix.filled(n, n, Fraction(1, n))
     try:
-        inner = (lap - j_over_n).inverse()
+        grounded = lap.drop(0, 0).inverse()
     except SingularMatrixError as exc:
         raise DisconnectedError(
-            f"matrix is not a connected-graph laplacian (pivot {exc.pivot})"
+            f"matrix is not a connected-graph laplacian (pivot {exc.pivot + 1})"
         ) from exc
-    return inner + j_over_n
+    zero = Fraction(0)
+    g = [[zero] * n] + [[zero, *grounded.row(i)] for i in range(n - 1)]
+    m = [sum(row) / n for row in g]
+    mean = sum(m) / n
+    return Matrix([[x - a - b + mean for x, b in zip(row, m)] for row, a in zip(g, m)])
 
 
 class Network:
@@ -356,6 +360,8 @@ def float_resistance(
     and column it is symmetric positive definite, so the shared Gauss-Jordan
     routine needs no pivoting.  Padded with zeros for that vertex, its
     inverse G gives r(p, q) = G[p,p] - 2 G[p,q] + G[q,q]."""
+    for v in (p, q):
+        graph._require_vertex(v)
     override = length_override or {}
     rows = graph.laplacian_rows(lambda e: 1.0 / override.get(e.id, float(e.length)))
     grounded = invert_rows([row[1:] for row in rows[1:]], 1.0)

@@ -45,7 +45,8 @@ def count_matrix_tree(graph: Multigraph) -> int:
     """
     if graph.n == 0:
         raise GraphError("graph has no vertices")
-    det = Matrix(graph.laplacian_rows(lambda e: 1)).drop(0, 0).det()
+    rows = graph.laplacian_rows(lambda e: 1)
+    det = Matrix([row[1:] for row in rows[1:]]).det()
     assert det.denominator == 1
     return int(det)
 
@@ -150,6 +151,8 @@ def identified_count(graph: Multigraph, *groups: Sequence[VertexId]) -> int:
     renames = {v: v for v in graph.vertices()}
     for group in groups:
         members = tuple(group)
+        for v in members:
+            graph._require_vertex(v)
         if len(members) < 2:
             continue  # singleton group is a no-op
         mapped = {renames[m] for m in members}

@@ -345,7 +345,6 @@ def _eval_vertex_del(graph, rng, samples, exhaustive):
     unit = graph.with_unit_lengths()
     t_direct = spantree.count_matrix_tree(unit)
     out: List[Check] = []
-    skipped = 0
     candidates = spantree.removable_vertices(unit)
     if not candidates:
         return out, 1
@@ -355,27 +354,13 @@ def _eval_vertex_del(graph, rng, samples, exhaustive):
         out.append((f"u={u}", Fraction(t_direct - total), None))
         neighbors = unit.neighbors_with_multiplicity(u)
         h = unit.delete_vertex(u)
-        t_h = spantree.count_matrix_tree(h)
-        if len(neighbors) == 2:
-            (p, a), (q, b) = neighbors
-            special = (a + b) * t_h + a * b * spantree.identified_count(h, (p, q))
-            out.append((f"two-neighbor:u={u}", Fraction(t_direct - special), None))
-        elif len(neighbors) == 3:
-            (p, a), (q, b), (s, c) = neighbors
-            special = (
-                (a + b + c) * t_h
-                + a * c * spantree.identified_count(h, (p, s))
-                + a * b * spantree.identified_count(h, (p, q))
-                + b * c * spantree.identified_count(h, (q, s))
-                + a * b * c * spantree.identified_count(h, (p, q, s))
-            )
-            out.append((f"three-neighbor:u={u}", Fraction(t_direct - special), None))
-        elif len(neighbors) == 4:
-            special = sum(a for _, a in neighbors) * t_h
+        special = sum(a for _, a in neighbors) * spantree.count_matrix_tree(h)
+        if 2 <= len(neighbors) <= 4:
             for sub, coeff in spantree._subsets(neighbors, 2):
                 special += coeff * spantree.identified_count(h, sub)
-            out.append((f"four-neighbor:u={u}", Fraction(t_direct - special), None))
-    return out, skipped
+            label = ("two", "three", "four")[len(neighbors) - 2]
+            out.append((f"{label}-neighbor:u={u}", Fraction(t_direct - special), None))
+    return out, 0
 
 
 def _eval_star_aug(graph, rng, samples, exhaustive):

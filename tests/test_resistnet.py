@@ -14,6 +14,7 @@ from ohmtree.graph import (
     DisconnectedError,
     Multigraph,
     PreconditionError,
+    UnknownVertexError,
     banana_graph,
     complete_graph,
     cycle_graph,
@@ -35,6 +36,7 @@ from ohmtree.resistnet import (
     voltage_transfer_cutting,
     voltage_transfer_shorting,
 )
+from ohmtree.spantree import identified_count
 from ohmtree.verify import GraphGenSpec, generate
 
 
@@ -94,16 +96,58 @@ def test_pseudo_inverse_path2():
     lp = pseudo_inverse(Matrix([[1, -1], [-1, 1]]))
     quarter = Fraction(1, 4)
     assert lp == Matrix([[quarter, -quarter], [-quarter, quarter]])
+    with pytest.raises(DisconnectedError):
+        pseudo_inverse(Matrix([[0, 0], [0, 0]]))
+
+
+def rank_one_reference(lap):
+    # the pseudo-inverse by the rank-one correction (L - J/n)^-1 + J/n,
+    # independent of the grounded inverse the package computes
+    j_over_n = Matrix.filled(lap.rows, lap.rows, Fraction(1, lap.rows))
+    return (lap - j_over_n).inverse() + j_over_n
 
 
 def test_pseudo_inverse_axioms():
-    for net in random_nets(seed=3, count=12):
+    single = Network(Multigraph(["a"], []))
+    assert single.pseudo_inverse == Matrix([[0]])
+    for net in [single, *random_nets(seed=3, count=12)]:
         lap, lp = net.laplacian, net.pseudo_inverse
+        assert lp == rank_one_reference(lap)
         assert lap * lp * lap == lap
         assert lp * lap * lp == lp
         assert lp.is_symmetric()
         ones = Matrix.filled(lp.rows, 1, 1)
         assert lp * ones == Matrix.filled(lp.rows, 1, 0)
+
+
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_pseudo_inverse_matches_rank_one_reference_on_grids(k):
+    rng = random.Random(k)
+    edges = [
+        (f"x{i}_{j}", f"x{i + di}_{j + dj}", random_lengths(rng, 1)[0])
+        for i in range(k)
+        for j in range(k)
+        for di, dj in ((1, 0), (0, 1))
+        if i + di < k and j + dj < k
+    ]
+    lap = laplacian(Multigraph.from_edges(edges))
+    assert pseudo_inverse(lap) == rank_one_reference(lap)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: identified_count(g, ("v1", "zz")),
+        lambda g: identified_count(g, ("v1", "v2"), ("zz",)),
+        lambda g: resistnet.float_resistance(g, "v1", "zz"),
+        lambda g: resistnet.float_resistance(g, "zz", "v1"),
+        lambda g: resistnet.resistance_fd(g, "e1", "v1", "zz"),
+    ],
+    ids=["identified", "singleton-group", "float-q", "float-p", "finite-difference"],
+)
+def test_unknown_vertex_raises(call):
+    with pytest.raises(UnknownVertexError):
+        call(cycle_graph(4))
 
 
 def test_resistance_basics():

@@ -139,6 +139,12 @@ def _report_digest(result):
             {"instances": 2, "exhaustive": True},
             ("498ccd941dc38586", 2117),
         ),
+        (GraphGenSpec(seed=17), {}, ("fce9d032198abf28", 2614)),
+        (
+            GraphGenSpec(seed=3, n_min=4, n_max=4, m_min=6, m_max=6),
+            {"instances": 1, "exhaustive": True},
+            ("7ad4a87616748aaa", 3461),
+        ),
     ],
 )
 def test_golden_reports(spec, kwargs, expected):
