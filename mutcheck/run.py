@@ -1,0 +1,222 @@
+"""Mutation check: do the law and kernel tests notice a broken formula?
+
+    python3 mutcheck/run.py
+
+Each mutant is one textual replacement in one module of ``src/ohmtree``: a
+flipped sign, an off-by-one shift, a dropped correction or a swapped
+argument in a shared helper.  For each mutant the script copies ``src/`` to
+a temporary directory, applies the replacement there (its text must occur
+exactly once) and runs the property, tree-count, network, kernel and
+polynomial tests against the copy with ``pytest -x``.  The mutant is killed
+when pytest fails.  The unmutated copy is run first and must pass.
+
+Exits 1 when a mutant survives or no longer applies, 2 when the unmutated
+copy fails.  A surviving mutant calls for a new test; it is never taken off
+the list.  Needs only the standard library besides the tests' own pytest
+and hypothesis.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TESTS = [
+    "tests/test_properties.py",
+    "tests/test_spantree.py",
+    "tests/test_resistnet.py",
+    "tests/test_exactnum.py",
+    "tests/test_polyseq.py",
+]
+TIMEOUT_S = 600
+
+# (name, module, text, replacement)
+MUTANTS = [
+    (
+        "quadratic-sign",
+        "spantree.py",
+        "+ sign * bracket * bracket",
+        "- sign * bracket * bracket",
+    ),
+    (
+        "quadratic-drop-pair",
+        "spantree.py",
+        "identified_count(h, pair, (s, t))",
+        "identified_count(h, (s, t))",
+    ),
+    (
+        "identified-zero",
+        "spantree.py",
+        "            return 0\n        current, step",
+        "            continue\n        current, step",
+    ),
+    (
+        "bracket-sign",
+        "spantree.py",
+        "- identified_count(graph, (q, s))\n        - identified_count(graph, (p, t))",
+        "+ identified_count(graph, (q, s))\n        - identified_count(graph, (p, t))",
+    ),
+    (
+        "contracted-keeps-ends",
+        "spantree.py",
+        "identified_count(graph.delete_edge(e), graph.endpoints(e))",
+        "identified_count(graph.delete_edge(e))",
+    ),
+    (
+        "subsets-off-by-one",
+        "spantree.py",
+        "range(smallest, len(weighted) + 1)",
+        "range(smallest, len(weighted))",
+    ),
+    (
+        "glue-shared-interior",
+        "spantree.py",
+        "vmap = {v: (i, v) for v in g.vertices()}",
+        "vmap = {v: (0, v) for v in g.vertices()}",
+    ),
+    (
+        "banana-cross-sum",
+        "spantree.py",
+        "enumerate(tpqs) if j != i)",
+        "enumerate(tpqs) if j > i)",
+    ),
+    (
+        "cycle-replacement-unswapped",
+        "spantree.py",
+        "return union_k_banana(t_st_list, t_list)",
+        "return union_k_banana(t_list, t_st_list)",
+    ),
+    (
+        "three-vertex-bracket",
+        "spantree.py",
+        "a1 * (-a2 + b2 + c2)",
+        "a1 * (a2 + b2 + c2)",
+    ),
+    (
+        "cut-doubled-resistance",
+        "resistnet.py",
+        "return deleted, deleted.resistance(ed.u, ed.v),",
+        "return deleted, 2 * deleted.resistance(ed.u, ed.v),",
+    ),
+    (
+        "cut-swapped-voltage",
+        "resistnet.py",
+        "partial(deleted.voltage, ed.u, ed.v)",
+        "partial(deleted.voltage, ed.v, ed.u)",
+    ),
+    (
+        "loop-or-bridge-loop",
+        "resistnet.py",
+        "    if ed.is_loop():\n        return Fraction(0)\n    kind",
+        "    if ed.is_loop():\n        return drop\n    kind",
+    ),
+    (
+        "loop-or-bridge-drop",
+        "resistnet.py",
+        'return drop if kind == "bridge-on-path" else Fraction(0)',
+        "return Fraction(0)",
+    ),
+    (
+        "pseudo-inverse-centring",
+        "resistnet.py",
+        "x - a - b + mean",
+        "x - a - b - mean",
+    ),
+    (
+        "recurrence-shift",
+        "polyseq.py",
+        "for _ in range(n - 1):",
+        "for _ in range(n):",
+    ),
+    (
+        "recurrence-sign",
+        "polyseq.py",
+        "step * cur + sign * prev + shift",
+        "step * cur - sign * prev + shift",
+    ),
+    (
+        "invert-unswapped-rhs",
+        "exactnum.py",
+        "            b[col], b[piv] = b[piv], b[col]\n",
+        "",
+    ),
+    (
+        "invert-forward-only",
+        "exactnum.py",
+        "if r == col or a[r][col] == 0:",
+        "if r <= col or a[r][col] == 0:",
+    ),
+    (
+        "det-swap-sign",
+        "exactnum.py",
+        "sign = -sign",
+        "sign = sign",
+    ),
+    (
+        "det-bareiss-divisor",
+        "exactnum.py",
+        "            prev = pivot\n",
+        "            prev = 1\n",
+    ),
+    (
+        "laplacian-diagonal",
+        "graph.py",
+        "rows[j][j] += c\n",
+        "rows[j][j] += c + c\n",
+    ),
+]
+
+
+def run_tests(src: Path, cwd: Path) -> bool:
+    """True when the tests pass against the package under ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+    cmd += [str(ROOT / t) for t in TESTS]
+    try:
+        proc = subprocess.run(
+            cmd, cwd=cwd, env=env, capture_output=True, timeout=TIMEOUT_S
+        )
+    except subprocess.TimeoutExpired:
+        return False
+    return proc.returncode == 0
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="mutcheck-") as tmp:
+        tmp = Path(tmp)
+        src = tmp / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("*.egg-info"))
+        t0 = time.perf_counter()
+        if not run_tests(src, tmp):
+            print("unmutated source fails the tests; nothing to check")
+            return 2
+        print(f"unmutated source passes ({time.perf_counter() - t0:.1f} s)")
+        bad = []
+        for name, module, text, replacement in MUTANTS:
+            path = src / "ohmtree" / module
+            original = path.read_text()
+            found = original.count(text)
+            if found != 1:
+                print(f"{name:30} STALE: text found {found} times in {module}")
+                bad.append(name)
+                continue
+            path.write_text(original.replace(text, replacement))
+            t0 = time.perf_counter()
+            killed = not run_tests(src, tmp)
+            path.write_text(original)
+            status = "killed" if killed else "SURVIVED"
+            print(f"{name:30} {status} ({time.perf_counter() - t0:.1f} s)")
+            if not killed:
+                bad.append(name)
+    print(f"{len(MUTANTS) - len(bad)} of {len(MUTANTS)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

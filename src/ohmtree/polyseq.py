@@ -33,7 +33,8 @@ class IntPolynomial:
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant equals its int, so it hashes as one (zero included)
+        return hash(sum(self.coeffs)) if self.degree < 1 else hash(self.coeffs)
 
     def __add__(self, other) -> "IntPolynomial":
         other = _as_poly(other)

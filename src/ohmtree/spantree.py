@@ -52,6 +52,7 @@ def count_matrix_tree(graph: Multigraph) -> int:
 
 
 DC_NODE_BUDGET = 100_000
+ENUM_EDGE_BUDGET = 20
 
 
 def _without_loops(g: Multigraph) -> Multigraph:
@@ -93,14 +94,15 @@ def count_deletion_contraction(graph: Multigraph) -> int:
     return total
 
 
-def count_enumeration(graph: Multigraph, max_edges: int = 20) -> int:
-    """Brute-force oracle: count (n-1)-subsets of non-loop edges that span."""
+def count_enumeration(graph: Multigraph) -> int:
+    """Brute-force oracle: count (n-1)-subsets of non-loop edges that span;
+    raises :class:`PreconditionError` past ``ENUM_EDGE_BUDGET`` of them."""
     if graph.n == 0:
         raise GraphError("graph has no vertices")
     edges = [e for e in graph.edges() if not e.is_loop()]
-    if len(edges) > max_edges:
+    if len(edges) > ENUM_EDGE_BUDGET:
         raise PreconditionError(
-            f"enumeration budget exceeded: {len(edges)} > {max_edges} edges"
+            f"enumeration budget exceeded: {len(edges)} > {ENUM_EDGE_BUDGET} edges"
         )
     order = graph.sorted_vertices()
     idx = {v: i for i, v in enumerate(order)}
@@ -146,13 +148,14 @@ def identified_count(graph: Multigraph, *groups: Sequence[VertexId]) -> int:
     makes the whole count zero: it stands for an identification of a vertex
     with itself, which the formulas count as zero because the matching
     resistance factor vanishes.  Groups overlapping in a vertex merge
-    transitively, as identification of the underlying points would."""
+    transitively, as identification of the underlying points would.  Every
+    member of every group is checked first: an unknown one raises."""
+    groups = [tuple(group) for group in groups]
+    for v in (v for group in groups for v in group):
+        graph._require_vertex(v)
     current = graph
     renames = {v: v for v in graph.vertices()}
-    for group in groups:
-        members = tuple(group)
-        for v in members:
-            graph._require_vertex(v)
+    for members in groups:
         if len(members) < 2:
             continue  # singleton group is a no-op
         mapped = {renames[m] for m in members}
@@ -164,20 +167,14 @@ def identified_count(graph: Multigraph, *groups: Sequence[VertexId]) -> int:
 
 
 def contracted_count(graph: Multigraph, e: EdgeId) -> int:
-    """t of the graph with edge e contracted; a self-loop counts as zero,
-    matching the identified-count convention for coincident endpoints."""
-    ed = graph.edge(e)
-    if ed.is_loop():
-        return 0
-    g, _ = graph.contract_edge(e)
-    return count_matrix_tree(g)
+    """t of the graph with edge e contracted: G - e with e's ends identified,
+    so a self-loop counts as zero by the identified-count convention."""
+    return identified_count(graph.delete_edge(e), graph.endpoints(e))
 
 
 def resistance_from_trees(graph: Multigraph, p: VertexId, q: VertexId) -> Fraction:
     """r(p, q) = t(G with p, q identified) / t(G) on unit-length graphs."""
     _require_unit(graph)
-    graph._require_vertex(p)
-    graph._require_vertex(q)
     return Fraction(identified_count(graph, (p, q)), count_matrix_tree(graph))
 
 
@@ -186,8 +183,6 @@ def voltage_from_trees(
 ) -> Fraction:
     """j_p(q, s) = (t(G_pq) + t(G_ps) - t(G_qs)) / (2 t(G)) on unit lengths."""
     _require_unit(graph)
-    for v in (p, q, s):
-        graph._require_vertex(v)
     num = (
         identified_count(graph, (p, q))
         + identified_count(graph, (p, s))
@@ -374,15 +369,12 @@ def vertex_deletion_count(
     if not h.is_connected():
         raise PreconditionError(f"{u!r} is a cut vertex")
     neighbors = graph.neighbors_with_multiplicity(u)
-    t_h = count_matrix_tree(h)
-    lead = ExpansionTerm((), sum(a for _, a in neighbors), t_h)
-    terms = [lead]
-    total = lead.coefficient * lead.count
-    for vs, coeff in _subsets(neighbors, 2):
-        cnt = count_identified(h, [vs])
-        terms.append(ExpansionTerm(vs, coeff, cnt))
-        total += coeff * cnt
-    return total, terms
+    terms = [ExpansionTerm((), sum(a for _, a in neighbors), count_matrix_tree(h))]
+    terms += (
+        ExpansionTerm(vs, coeff, identified_count(h, vs))
+        for vs, coeff in _subsets(neighbors, 2)
+    )
+    return sum(x.coefficient * x.count for x in terms), terms
 
 
 def star_augmentation_count(
@@ -406,7 +398,7 @@ def star_augmentation_count(
             raise GraphError("edge multiplicities must be >= 1")
     total = count_matrix_tree(graph)
     for vs, coeff in _subsets(tgt, 1):
-        total += coeff * count_identified(graph, [vs + (anchor,)])
+        total += coeff * identified_count(graph, vs + (anchor,))
     return total
 
 
@@ -445,6 +437,19 @@ def _bracket(graph: Multigraph, p, q, s, t) -> int:
     )
 
 
+def _quadratic(graph: Multigraph, h: Multigraph, pair, s, t, bracket, sign) -> Fraction:
+    """t(G) t(H_{pair,st}) - (4 t(G_st) t(H_pair) + sign bracket^2) / 4, the
+    residual of the three quadratic identities: H is G or G - e, and
+    ``pair`` the pair identified in H (empty for none)."""
+    lhs = count_matrix_tree(graph) * identified_count(h, pair, (s, t))
+    rhs = Fraction(
+        4 * identified_count(graph, (s, t)) * identified_count(h, pair)
+        + sign * bracket * bracket,
+        4,
+    )
+    return lhs - rhs
+
+
 def identification_quadratic(
     graph: Multigraph, p: VertexId, q: VertexId, s: VertexId, t: VertexId
 ) -> Fraction:
@@ -455,16 +460,7 @@ def identification_quadratic(
 
     exact zero for every vertex choice (coincident points included, via the
     zero convention).  Setting t = p yields the three-point identity."""
-    for v in (p, q, s, t):
-        graph._require_vertex(v)
-    lhs = count_matrix_tree(graph) * identified_count(graph, (p, q), (s, t))
-    bracket = _bracket(graph, p, q, s, t)
-    rhs = Fraction(
-        4 * identified_count(graph, (s, t)) * identified_count(graph, (p, q))
-        - bracket * bracket,
-        4,
-    )
-    return lhs - rhs
+    return _quadratic(graph, graph, (p, q), s, t, _bracket(graph, p, q, s, t), -1)
 
 
 def contraction_identity(
@@ -472,23 +468,10 @@ def contraction_identity(
 ) -> Fraction:
     """Residual of the contracted-graph version of the quadratic identity,
     with the contracted edge's endpoints playing the role of the shorted
-    pair; must be zero."""
-    ed = graph.edge(e)
-    for v in (s, t):
-        graph._require_vertex(v)
-    if ed.is_loop():
-        contracted_st = 0
-        contracted = 0
-    else:
-        g, ren = graph.contract_edge(e)
-        contracted = count_matrix_tree(g)
-        contracted_st = identified_count(g, (ren[s], ren[t]))
-    bracket = _bracket(graph, ed.u, ed.v, s, t)
-    lhs = count_matrix_tree(graph) * contracted_st
-    rhs = Fraction(
-        4 * identified_count(graph, (s, t)) * contracted - bracket * bracket, 4
-    )
-    return lhs - rhs
+    pair; must be zero.  Contracting e is identifying its ends in G - e."""
+    u, v = graph.endpoints(e)
+    bracket = _bracket(graph, u, v, s, t)
+    return _quadratic(graph, graph.delete_edge(e), (u, v), s, t, bracket, -1)
 
 
 def deletion_identity(
@@ -496,18 +479,9 @@ def deletion_identity(
 ) -> Fraction:
     """Residual of the deleted-graph version (note the flipped sign on the
     square); holds for bridges as well since both deleted counts vanish."""
-    ed = graph.edge(e)
-    for v in (s, t):
-        graph._require_vertex(v)
-    g = graph.delete_edge(e)
-    bracket = _bracket(graph, ed.u, ed.v, s, t)
-    lhs = count_matrix_tree(graph) * identified_count(g, (s, t))
-    rhs = Fraction(
-        4 * identified_count(graph, (s, t)) * count_matrix_tree(g)
-        + bracket * bracket,
-        4,
-    )
-    return lhs - rhs
+    u, v = graph.endpoints(e)
+    bracket = _bracket(graph, u, v, s, t)
+    return _quadratic(graph, graph.delete_edge(e), (), s, t, bracket, +1)
 
 
 def spanning_tree_euler(
@@ -521,8 +495,6 @@ def spanning_tree_euler(
 
     bracket_e = t(G_{p_e s}) - t(G_{q_e s}) - t(G_{p_e t}) + t(G_{q_e t}).
     Returns (uniform residual, bridge-form residual); both must be zero."""
-    for v in (s, t):
-        graph._require_vertex(v)
     t_g = count_matrix_tree(graph)
     t_st = identified_count(graph, (s, t))
     full_sum = 0
@@ -581,25 +553,27 @@ def _relabeled_edges(graph: Multigraph, vmap: Dict, tag) -> Iterable[Tuple]:
         yield ((tag, ed.id), vmap[ed.u], vmap[ed.v], ed.length)
 
 
+UNION_TAG = "u2"
+
+
 def union_at(
     g1: Multigraph,
     points1: Sequence[VertexId],
     g2: Multigraph,
     points2: Sequence[VertexId],
-    tag="u2",
 ) -> Multigraph:
-    """Glue g2 onto g1, matching points2[i] to points1[i]; other vertices of
-    g2 are relabeled to stay disjoint."""
+    """Glue g2 onto g1, matching points2[i] to points1[i]; other vertices v
+    of g2 are relabeled (UNION_TAG, v) to stay disjoint."""
     if len(points1) != len(points2):
         raise GraphError("point lists must have equal length")
     for v in points1:
         g1._require_vertex(v)
     for v in points2:
         g2._require_vertex(v)
-    vmap = {v: (tag, v) for v in g2.vertices()}
+    vmap = {v: (UNION_TAG, v) for v in g2.vertices()}
     for a, b in zip(points1, points2):
         vmap[b] = a
-    edges = list(g1.edges()) + list(_relabeled_edges(g2, vmap, tag))
+    edges = list(g1.edges()) + list(_relabeled_edges(g2, vmap, UNION_TAG))
     return Multigraph(set(g1.vertices()) | set(vmap.values()), edges)
 
 

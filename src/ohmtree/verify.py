@@ -87,29 +87,20 @@ class SuiteResult(NamedTuple):
         return not self.unchecked_tags and all(r.passed for r in self.reports)
 
 
-def _random_connected(
-    rng: random.Random,
-    n_min: int,
-    n_max: int,
-    m_min: int,
-    m_max: int,
-    parallel_prob: float,
-    loop_prob: float,
-    lengths: str,
-) -> Multigraph:
-    n = rng.randint(n_min, n_max)
-    lo = max(m_min, n - 1)
-    m = rng.randint(lo, max(m_max, lo))
+def _random_connected(rng: random.Random, spec: GraphGenSpec) -> Multigraph:
+    n = rng.randint(spec.n_min, spec.n_max)
+    lo = max(spec.m_min, n - 1)
+    m = rng.randint(lo, max(spec.m_max, lo))
     vs = [f"v{i}" for i in range(1, n + 1)]
     pairs: List[Tuple[str, str]] = []
     for i in range(1, n):
         pairs.append((vs[i], vs[rng.randrange(i)]))
     while len(pairs) < m:
         roll = rng.random()
-        if roll < loop_prob:
+        if roll < spec.loop_prob:
             v = rng.choice(vs)
             pairs.append((v, v))
-        elif roll < loop_prob + parallel_prob and pairs:
+        elif roll < spec.loop_prob + spec.parallel_prob and pairs:
             u, v = rng.choice(pairs)
             pairs.append((u, v))
         elif n >= 2:
@@ -117,7 +108,7 @@ def _random_connected(
             pairs.append((u, v))
     edges = []
     for k, (u, v) in enumerate(pairs, start=1):
-        if lengths == "unit":
+        if spec.lengths == "unit":
             length = Fraction(1)
         else:
             length = Fraction(rng.randint(1, 4), rng.randint(1, 4))
@@ -127,22 +118,13 @@ def _random_connected(
 
 def generate(spec: GraphGenSpec, index: int = 0) -> Multigraph:
     """The index-th instance of the generation spec; identical on every rerun."""
-    rng = random.Random(f"{spec.seed}:{index}")
-    return _random_connected(
-        rng,
-        spec.n_min,
-        spec.n_max,
-        spec.m_min,
-        spec.m_max,
-        spec.parallel_prob,
-        spec.loop_prob,
-        spec.lengths,
-    )
+    return _random_connected(random.Random(f"{spec.seed}:{index}"), spec)
 
 
-def generate_series_parallel(
-    rng: random.Random, max_depth: int = 4
-) -> Tuple[Multigraph, str, str]:
+SERIES_PARALLEL_DEPTH = 4
+
+
+def generate_series_parallel(rng: random.Random) -> Tuple[Multigraph, str, str]:
     """Random two-terminal series-parallel network; returns (graph, s, t).
 
     Built by recursive series/parallel composition of single edges, so the
@@ -151,7 +133,7 @@ def generate_series_parallel(
     fresh = _counter(2)
 
     def build(depth: int) -> List[Tuple[int, int, Fraction]]:
-        if depth >= max_depth or rng.random() < 0.35:
+        if depth >= SERIES_PARALLEL_DEPTH or rng.random() < 0.35:
             return [(0, 1, Fraction(rng.randint(1, 4), rng.randint(1, 3)))]
         a = build(depth + 1)
         b = build(depth + 1)
@@ -380,8 +362,13 @@ def _eval_star_aug(graph, rng, samples, exhaustive):
     return out, 0
 
 
-def _small_part(rng, n_min=3, n_max=4) -> Multigraph:
-    return _random_connected(rng, n_min, n_max, n_min, n_max + 2, 0.2, 0.0, "unit")
+# parts for the union laws (n range, m range, parallel, loop, lengths)
+_SMALL_PART = GraphGenSpec(3, 4, 3, 6, 0.2, 0.0, "unit")
+_BIG_PART = GraphGenSpec(4, 5, 5, 7, 0.2, 0.0, "unit")
+
+
+def _small_part(rng) -> Multigraph:
+    return _random_connected(rng, _SMALL_PART)
 
 
 def _terminals(rng, parts, k):
@@ -444,7 +431,7 @@ def _eval_unions(graph, rng, samples, exhaustive):
     check("banana-of-paths", spantree.banana_of(branches), formula)
 
     # three shared vertices
-    big = [_random_connected(rng, 4, 5, 5, 7, 0.2, 0.0, "unit") for _ in range(2)]
+    big = [_random_connected(rng, _BIG_PART) for _ in range(2)]
     triple = _terminals(rng, big, 3)
     (g1, p1, q1, s1), (g2, p2, q2, s2) = triple
     (t1, t2), (t1pqs, t2pqs) = _counts(triple)

@@ -28,6 +28,15 @@ def test_polynomial_arithmetic():
     assert p.dilated(2) == IntPolynomial((1, 0, 2))
 
 
+def test_equal_to_int_hashes_as_int():
+    for c in (3, -2, 0):
+        const = IntPolynomial((c,))
+        assert const == c and hash(const) == hash(c)
+        assert len({const, c}) == 1
+    assert {IntPolynomial(()), 0, IntPolynomial((0, 0))} == {0}
+    assert len({IntPolynomial((1, 2)), IntPolynomial((1, 2)), 1}) == 2
+
+
 def test_eval_is_exact():
     p = IntPolynomial((3, 4, 1))
     assert p(1) == 8

@@ -139,11 +139,19 @@ def test_pseudo_inverse_matches_rank_one_reference_on_grids(k):
     [
         lambda g: identified_count(g, ("v1", "zz")),
         lambda g: identified_count(g, ("v1", "v2"), ("zz",)),
+        lambda g: identified_count(g, ("v1", "v1"), ("zz", "v2")),
         lambda g: resistnet.float_resistance(g, "v1", "zz"),
         lambda g: resistnet.float_resistance(g, "zz", "v1"),
         lambda g: resistnet.resistance_fd(g, "e1", "v1", "zz"),
     ],
-    ids=["identified", "singleton-group", "float-q", "float-p", "finite-difference"],
+    ids=[
+        "identified",
+        "singleton-group",
+        "after-collapsed-group",
+        "float-q",
+        "float-p",
+        "finite-difference",
+    ],
 )
 def test_unknown_vertex_raises(call):
     with pytest.raises(UnknownVertexError):
@@ -396,6 +404,23 @@ def test_cutting_delta():
     loopy = Network(Multigraph(["a", "b"], [("e", "a", "b"), ("l", "a", "a")]))
     d = cutting_delta(loopy, "l", "a", "b")
     assert d.correction == 0 and d.before == d.after
+
+
+def test_cut_graph_data():
+    # _cut gives G - e, R_e = r'(p, q) and x -> j'_p(q, x), grounded at p;
+    # every law squares or multiplies differences of j', so only this test
+    # sees which end is the reference
+    for net in random_nets(61, 4):
+        for e in net.graph.edge_ids():
+            if net.graph.is_bridge(e):
+                continue
+            p, q = net.graph.endpoints(e)
+            cut = Network(net.graph.delete_edge(e))
+            deleted, big_r, j = resistnet._cut(net, e)
+            assert deleted.graph == cut.graph
+            assert big_r == cut.resistance(p, q)
+            assert j(p) == 0 and j(q) == big_r
+            assert all(j(x) == cut.voltage(p, q, x) for x in cut.graph.vertices())
 
 
 def test_contraction_delta():
