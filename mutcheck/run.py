@@ -170,6 +170,18 @@ MUTANTS = [
         "rows[j][j] += c\n",
         "rows[j][j] += c + c\n",
     ),
+    (
+        "reach-crosses-avoided-edge",
+        "graph.py",
+        "if eid != avoid_edge:",
+        "if True:",
+    ),
+    (
+        "spokes-skip-last-vertex",
+        "graph.py",
+        "for i in range(1, n + 1) for j in range(1, a + 1)",
+        "for i in range(1, n) for j in range(1, a + 1)",
+    ),
 ]
 
 

@@ -98,15 +98,28 @@ def _print_fraction(x: Fraction) -> None:
     print(f"{x.numerator / x.denominator:.12g}")
 
 
-def cmd_resistance(args) -> int:
-    net = Network(load_graph(args.file))
-    _print_fraction(net.resistance(args.p, args.q))
-    return 0
+# subcommand, help, positional names after the file, value on the network;
+# Network methods are looked up per call, so a wrapper set on them is seen
+VALUE_COMMANDS = (
+    (
+        "resistance",
+        "effective resistance between two vertices",
+        ("p", "q"),
+        lambda net, *a: net.resistance(*a),
+    ),
+    ("voltage", "voltage j_z(x, y)", ("z", "x", "y"), lambda net, *a: net.voltage(*a)),
+    (
+        "derivative",
+        "derivative of r(s,t) in an edge length",
+        ("edge", "s", "t"),
+        resistnet.resistance_derivative,
+    ),
+)
 
 
-def cmd_voltage(args) -> int:
+def cmd_value(args) -> int:
     net = Network(load_graph(args.file))
-    _print_fraction(net.voltage(args.z, args.x, args.y))
+    _print_fraction(args.value(net, *(getattr(args, k) for k in args.names)))
     return 0
 
 
@@ -147,12 +160,6 @@ def cmd_euler(args) -> int:
         print(f"{term.edge} {term.kind} {c.numerator}/{c.denominator}")
         total += c
     print(f"total {total.numerator}/{total.denominator}")
-    return 0
-
-
-def cmd_derivative(args) -> int:
-    net = Network(load_graph(args.file))
-    _print_fraction(resistnet.resistance_derivative(net, args.edge, args.s, args.t))
     return 0
 
 
@@ -206,18 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("resistance", help="effective resistance between two vertices")
-    p.add_argument("file")
-    p.add_argument("p")
-    p.add_argument("q")
-    p.set_defaults(func=cmd_resistance)
-
-    p = sub.add_parser("voltage", help="voltage j_z(x, y)")
-    p.add_argument("file")
-    p.add_argument("z")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.set_defaults(func=cmd_voltage)
+    for name, help_text, names, value in VALUE_COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for arg in ("file", *names):
+            p.add_argument(arg)
+        p.set_defaults(func=cmd_value, value=value, names=names)
 
     p = sub.add_parser("spantree", help="number of spanning trees")
     p.add_argument("file")
@@ -244,13 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("t")
     p.add_argument("--form", choices=("I", "II"), default="I")
     p.set_defaults(func=cmd_euler)
-
-    p = sub.add_parser("derivative", help="derivative of r(s,t) in an edge length")
-    p.add_argument("file")
-    p.add_argument("edge")
-    p.add_argument("s")
-    p.add_argument("t")
-    p.set_defaults(func=cmd_derivative)
 
     p = sub.add_parser("reduce", help="series/parallel/delta-wye reduction")
     p.add_argument("file")

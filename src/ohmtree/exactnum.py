@@ -25,9 +25,7 @@ def rational(value: Union[int, str, Fraction]) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"not an exact scalar: {value!r}")
 

@@ -70,6 +70,12 @@ def _vkey(v: VertexId):
     return (str(v), type(v).__name__)
 
 
+def _first_free(candidates: Iterable, taken) -> Hashable:
+    """The first candidate id not in ``taken``; an iterator shared between
+    calls never hands out the same id twice."""
+    return next(c for c in candidates if c not in taken)
+
+
 class Edge(NamedTuple):
     id: EdgeId
     u: VertexId
@@ -180,9 +186,6 @@ class Multigraph:
     def edge_ids(self) -> list:
         return sorted(self._edges, key=_vkey)
 
-    def has_vertex(self, v: VertexId) -> bool:
-        return v in self._vertices
-
     def edge(self, e: EdgeId) -> Edge:
         try:
             return self._edges[e]
@@ -238,31 +241,36 @@ class Multigraph:
 
     # -- connectivity ----------------------------------------------------
 
+    def _reach(self, start: VertexId, avoid_edge: EdgeId = None) -> Set[VertexId]:
+        """Vertices reached from ``start`` by walks that never cross
+        ``avoid_edge``."""
+        seen = {start}
+        stack = [start]
+        while stack:
+            w = stack.pop()
+            for eid in self._incident[w]:
+                if eid != avoid_edge:
+                    o = self._edges[eid].other_end(w)
+                    if o not in seen:
+                        seen.add(o)
+                        stack.append(o)
+        return seen
+
     def connected_components(self) -> List[Set[VertexId]]:
         remaining = set(self._vertices)
         comps = []
         while remaining:
-            start = remaining.pop()
-            comp = {start}
-            stack = [start]
-            while stack:
-                w = stack.pop()
-                for eid in self._incident[w]:
-                    o = self._edges[eid].other_end(w)
-                    if o not in comp:
-                        comp.add(o)
-                        remaining.discard(o)
-                        stack.append(o)
+            comp = self._reach(remaining.pop())
+            remaining -= comp
             comps.append(comp)
         return comps
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.connected_components()) == 1
+        return self.n <= 1 or len(self._reach(next(iter(self._vertices)))) == self.n
 
     def is_bridge(self, e: EdgeId) -> bool:
         """True iff deleting the edge disconnects its endpoints."""
-        ed = self.edge(e)
-        return self.separates(e, ed.u, ed.v)
+        return self.separates(e, *self.endpoints(e))
 
     def bridges(self) -> list:
         return [e for e in self.edge_ids() if self.is_bridge(e)]
@@ -273,22 +281,7 @@ class Multigraph:
         self.edge(e)
         self._require_vertex(s)
         self._require_vertex(t)
-        if s == t:
-            return False
-        seen = {s}
-        stack = [s]
-        while stack:
-            w = stack.pop()
-            for eid in self._incident[w]:
-                if eid == e:
-                    continue
-                o = self._edges[eid].other_end(w)
-                if o == t:
-                    return False
-                if o not in seen:
-                    seen.add(o)
-                    stack.append(o)
-        return True
+        return s != t and t not in self._reach(s, e)
 
     def bridge_kind(self, e: EdgeId, s: VertexId, t: VertexId) -> str:
         """How the edge sits between s and t: ``"bridge-on-path"`` for a
@@ -473,23 +466,25 @@ def complete_graph(n: int, length=1) -> Multigraph:
     return Multigraph((f"v{i}" for i in range(1, n + 1)), edges)
 
 
+def _spoked(rim: list, n: int, a: int) -> Multigraph:
+    """The ``rim`` edges on v1..vn plus an apex joined to each vi by a edges."""
+    spokes = [
+        (f"s{i}_{j}", "apex", f"v{i}", 1)
+        for i in range(1, n + 1) for j in range(1, a + 1)
+    ]
+    return Multigraph([f"v{i}" for i in range(1, n + 1)] + ["apex"], rim + spokes)
+
+
 def fan_graph(n: int, a: int = 1) -> Multigraph:
     """Path on n vertices plus an apex joined to every path vertex by a edges."""
     if n < 1 or a < 1:
         raise GraphError("fan needs n >= 1 path vertices and a >= 1 spokes")
-    edges = [(f"p{i}", f"v{i}", f"v{i+1}", 1) for i in range(1, n)]
-    for i in range(1, n + 1):
-        for j in range(1, a + 1):
-            edges.append((f"s{i}_{j}", "apex", f"v{i}", 1))
-    return Multigraph([f"v{i}" for i in range(1, n + 1)] + ["apex"], edges)
+    return _spoked([(f"p{i}", f"v{i}", f"v{i+1}", 1) for i in range(1, n)], n, a)
 
 
 def wheel_graph(n: int, a: int = 1) -> Multigraph:
     """Cycle on n vertices plus an apex joined to every cycle vertex by a edges."""
     if n < 1 or a < 1:
         raise GraphError("wheel needs n >= 1 rim vertices and a >= 1 spokes")
-    edges = [(f"r{i}", f"v{i}", f"v{i % n + 1}", 1) for i in range(1, n + 1)]
-    for i in range(1, n + 1):
-        for j in range(1, a + 1):
-            edges.append((f"s{i}_{j}", "apex", f"v{i}", 1))
-    return Multigraph([f"v{i}" for i in range(1, n + 1)] + ["apex"], edges)
+    rim = [(f"r{i}", f"v{i}", f"v{i % n + 1}", 1) for i in range(1, n + 1)]
+    return _spoked(rim, n, a)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import chain, combinations, count
 from typing import List, NamedTuple, Optional, Tuple
 
-from .graph import Edge, GraphError, Multigraph, VertexId, _vkey
+from .graph import Edge, GraphError, Multigraph, VertexId, _first_free, _vkey
 
 
 class ReductionStep(NamedTuple):
@@ -64,36 +64,25 @@ def delta_y(graph: Multigraph, e1, e2, e3) -> Multigraph:
         if ed.is_loop():
             raise GraphError("delta-y: edges must not be self-loops")
         verts.update((ed.u, ed.v))
-    if len(verts) != 3 or len({ed.id for ed in edges}) != 3:
-        raise GraphError("delta-y: edges do not form a triangle")
-    # each vertex must meet exactly two of the three edges
+    # each vertex meeting exactly two of the three non-loop edges makes them
+    # three distinct edges on three vertices: a triangle
     for v in verts:
         if sum(v in (ed.u, ed.v) for ed in edges) != 2:
             raise GraphError("delta-y: edges do not form a triangle")
     total = sum((ed.length for ed in edges), Fraction(0))
-    center = _fresh_center(graph)
+    center = _first_free((f"Y{k}" for k in count()), graph.vertices())
+    taken = set(graph.edge_ids())
     arm_edges = []
     for k, v in enumerate(sorted(verts, key=_vkey)):
         touching = [ed for ed in edges if v in (ed.u, ed.v)]
         arm = touching[0].length * touching[1].length / total
-        arm_edges.append(Edge(_fresh_edge_id(graph, f"y{k+1}"), center, v, arm))
+        base = f"y{k+1}"
+        eid = _first_free(chain([base], (f"{base}_{i}" for i in count(2))), taken)
+        arm_edges.append(Edge(eid, center, v, arm))
     remaining = [ed for ed in graph.edges() if ed.id not in {e1, e2, e3}]
     return Multigraph(
         set(graph.vertices()) | {center}, remaining + arm_edges
     )
-
-
-def _fresh_center(graph: Multigraph) -> str:
-    k = 0
-    while f"Y{k}" in graph.vertices():
-        k += 1
-    return f"Y{k}"
-
-
-def _fresh_edge_id(graph: Multigraph, base: str) -> str:
-    taken = {e.id for e in graph.edges()}
-    candidates = chain([base], (f"{base}_{k}" for k in count(2)))
-    return next(eid for eid in candidates if eid not in taken)
 
 
 def reduce_two_terminal(

@@ -354,7 +354,8 @@ def float_resistance(
 ) -> float:
     """Resistance computed with binary floats.  Used only to cross-check the
     exact derivative against central finite differences; ``length_override``
-    maps edge ids to float lengths.
+    maps edge ids to float lengths.  A disconnected graph raises
+    DisconnectedError, as on the exact path.
 
     The Laplacian is grounded at the first sorted vertex: without its row
     and column it is symmetric positive definite, so the shared Gauss-Jordan
@@ -362,6 +363,8 @@ def float_resistance(
     inverse G gives r(p, q) = G[p,p] - 2 G[p,q] + G[q,q]."""
     for v in (p, q):
         graph._require_vertex(v)
+    if not graph.is_connected():
+        raise DisconnectedError("float resistance of a disconnected graph")
     override = length_override or {}
     rows = graph.laplacian_rows(lambda e: 1.0 / override.get(e.id, float(e.length)))
     grounded = invert_rows([row[1:] for row in rows[1:]], 1.0)
@@ -371,12 +374,14 @@ def float_resistance(
     return g[i][i] - 2.0 * g[i][j] + g[j][j]
 
 
-def resistance_fd(
-    graph: Multigraph, e: EdgeId, s: VertexId, t: VertexId, h: float = 1e-6
-) -> float:
-    """Central finite-difference estimate of the derivative of r(s, t) with
-    respect to the length of e, on the float mirror."""
+FD_STEP = 1e-6
+
+
+def resistance_fd(graph: Multigraph, e: EdgeId, s: VertexId, t: VertexId) -> float:
+    """Central finite-difference estimate, with step ``FD_STEP``, of the
+    derivative of r(s, t) with respect to the length of e, on the float
+    mirror."""
     base = float(graph.length(e))
-    hi = float_resistance(graph, s, t, {e: base + h})
-    lo = float_resistance(graph, s, t, {e: base - h})
-    return (hi - lo) / (2.0 * h)
+    hi = float_resistance(graph, s, t, {e: base + FD_STEP})
+    lo = float_resistance(graph, s, t, {e: base - FD_STEP})
+    return (hi - lo) / (2.0 * FD_STEP)

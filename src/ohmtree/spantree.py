@@ -21,7 +21,7 @@ not in :meth:`Multigraph.identify` (where a singleton group is a no-op).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from math import prod
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
@@ -32,6 +32,7 @@ from .graph import (
     Multigraph,
     PreconditionError,
     VertexId,
+    _first_free,
     _vkey,
 )
 from .polyseq import morgan_voyce, w_poly
@@ -407,19 +408,12 @@ def add_star_edges(
 ) -> Multigraph:
     """Graph with a_i unit edges added from the anchor to each target."""
     graph._require_vertex(anchor)
-    existing = {e.id for e in graph.edges()}
+    taken = set(graph.edge_ids())
+    ids = (f"aug{k}" for k in count(1))
     new_edges = list(graph.edges())
-    k = 0
     for v, a in targets:
         graph._require_vertex(v)
-        for _ in range(a):
-            k += 1
-            eid = f"aug{k}"
-            while eid in existing:
-                k += 1
-                eid = f"aug{k}"
-            existing.add(eid)
-            new_edges.append((eid, anchor, v, 1))
+        new_edges += [(_first_free(ids, taken), anchor, v, 1) for _ in range(a)]
     return Multigraph(graph.vertices(), new_edges)
 
 
@@ -532,9 +526,7 @@ def closed_form(family: str, n: int, a: int = 1) -> int:
         raise GraphError("multiplicity a must be >= 1")
     if family == "path":
         return 1
-    if family == "cycle":
-        return n
-    if family == "banana":
+    if family in ("cycle", "banana"):
         return n
     if family == "complete":
         return n ** (n - 2) if n >= 2 else 1

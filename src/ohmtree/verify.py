@@ -100,20 +100,17 @@ def _random_connected(rng: random.Random, spec: GraphGenSpec) -> Multigraph:
         if roll < spec.loop_prob:
             v = rng.choice(vs)
             pairs.append((v, v))
-        elif roll < spec.loop_prob + spec.parallel_prob and pairs:
+        elif roll < spec.loop_prob + spec.parallel_prob:
             u, v = rng.choice(pairs)
             pairs.append((u, v))
-        elif n >= 2:
+        else:
             u, v = rng.sample(vs, 2)
             pairs.append((u, v))
-    edges = []
-    for k, (u, v) in enumerate(pairs, start=1):
-        if spec.lengths == "unit":
-            length = Fraction(1)
-        else:
-            length = Fraction(rng.randint(1, 4), rng.randint(1, 4))
-        edges.append((f"e{k}", u, v, length))
-    return Multigraph(vs, edges)
+    unit = spec.lengths == "unit"
+    return Multigraph.from_edges(
+        ((u, v, 1 if unit else Fraction(rng.randint(1, 4), rng.randint(1, 4))))
+        for u, v in pairs
+    )
 
 
 def generate(spec: GraphGenSpec, index: int = 0) -> Multigraph:
@@ -170,23 +167,23 @@ Check = Tuple[str, Fraction, Optional[bool]]
 Evaluator = Callable[[Multigraph, random.Random, int, bool], Tuple[List[Check], int]]
 
 
-def _law(names: str, residual, unit=False, network=True, skip=None) -> Evaluator:
+def _law(names: str, residual, unit=False, skip=None) -> Evaluator:
     """Evaluator that checks one law on every selection.
 
     ``names`` labels the selection, e.g. ``"p q s t"``; an ``e`` draws an
     edge, every other name a vertex.  The law is checked on the graph, or
     on its unit-length copy with ``unit``, wrapped in a :class:`Network`
-    with ``network``.  A selection for which ``skip(graph, *selection)``
-    holds violates the law's hypothesis and is counted as skipped.
-    ``residual(x, rng, *selection)`` returns the residual, or a list of
-    checks that carry their own labels.
+    that inverts only when a query asks.  A selection for which
+    ``skip(graph, *selection)`` holds violates the law's hypothesis and is
+    counted as skipped.  ``residual(net, rng, *selection)`` returns the
+    residual, or a list of checks that carry their own labels.
     """
     keys = names.split()
     label = ",".join(f"{k}={{}}" for k in keys)
 
     def evaluate(graph, rng, samples, exhaustive):
         g = graph.with_unit_lengths() if unit else graph
-        x = Network(g) if network else g
+        net = Network(g)
         verts = g.sorted_vertices()
         pools = [g.edge_ids() if k == "e" else verts for k in keys]
         out: List[Check] = []
@@ -195,7 +192,7 @@ def _law(names: str, residual, unit=False, network=True, skip=None) -> Evaluator
             if skip is not None and skip(g, *sel):
                 skipped += 1
                 continue
-            r = residual(x, rng, *sel)
+            r = residual(net, rng, *sel)
             if isinstance(r, list):
                 out.extend(r)
             else:
@@ -256,8 +253,8 @@ def _derivative(net, rng, e, s, t):
     return [(f"e={e},s={s},t={t}", residual, abs(float(residual)) <= tol)]
 
 
-def _span_euler(g, rng, s, t):
-    uniform, bridged = spantree.spanning_tree_euler(g, s, t)
+def _span_euler(net, rng, s, t):
+    uniform, bridged = spantree.spanning_tree_euler(net.graph, s, t)
     return [
         (f"uniform:s={s},t={t}", uniform, None),
         (f"bridges:s={s},t={t}", bridged, None),
@@ -284,9 +281,6 @@ def _eval_vol_transfer(graph, rng, samples, exhaustive):
             ):
                 sel = f"{tag}:e={e},u={u},s={s},t={t}"
                 out.append((sel, law(net, e, u, s, t), None))
-        if len(verts) < 2:
-            skipped += 1
-            continue
         p, q = rng.sample(verts, 2)
         # the general placement, then the two degenerate ones: u = p, t = p
         for uu, tt in ((u, t), (p, t), (u, p)):
@@ -328,8 +322,6 @@ def _eval_vertex_del(graph, rng, samples, exhaustive):
     t_direct = spantree.count_matrix_tree(unit)
     out: List[Check] = []
     candidates = spantree.removable_vertices(unit)
-    if not candidates:
-        return out, 1
     chosen = candidates if exhaustive else candidates[: max(1, samples // 2)]
     for u in chosen:
         total, _ = spantree.vertex_deletion_count(unit, u)
@@ -483,23 +475,20 @@ REGISTRY: Dict[str, Evaluator] = {
     "averaging": _eval_averaging,
     "quadratic": _law(
         "p q s t",
-        lambda g, rng, *sel: spantree.identification_quadratic(g, *sel),
+        lambda net, rng, *sel: spantree.identification_quadratic(net.graph, *sel),
         unit=True,
-        network=False,
     ),
     "contract-id": _law(
         "e s t",
-        lambda g, rng, *sel: spantree.contraction_identity(g, *sel),
+        lambda net, rng, *sel: spantree.contraction_identity(net.graph, *sel),
         unit=True,
-        network=False,
     ),
     "delete-id": _law(
         "e s t",
-        lambda g, rng, *sel: spantree.deletion_identity(g, *sel),
+        lambda net, rng, *sel: spantree.deletion_identity(net.graph, *sel),
         unit=True,
-        network=False,
     ),
-    "span-euler": _law("s t", _span_euler, unit=True, network=False),
+    "span-euler": _law("s t", _span_euler, unit=True),
     "vertex-del": _eval_vertex_del,
     "star-aug": _eval_star_aug,
     "unions": _eval_unions,

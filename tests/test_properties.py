@@ -1,6 +1,7 @@
 """Property tests: the exact laws hold with a residual of literal zero on
-every small connected multigraph Hypothesis generates, and a failure
-shrinks to the smallest counterexample graph."""
+every small connected multigraph Hypothesis generates, the reachability
+queries agree with a union-find oracle on any small multigraph, and a
+failure shrinks to the smallest counterexample graph."""
 
 from fractions import Fraction
 from math import prod
@@ -29,6 +30,17 @@ def graphs(draw):
     return Multigraph(
         vs, [(f"e{k}", u, v, draw(LENGTHS)) for k, (u, v) in enumerate(pairs)]
     )
+
+
+@st.composite
+def any_graphs(draw):
+    """Multigraph on 1-6 vertices with up to eight freely drawn unit edges:
+    self-loops, parallel edges, isolated vertices and several components
+    all occur."""
+    vs = [f"v{i}" for i in range(draw(st.integers(1, 6)))]
+    ends = st.sampled_from(vs)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=8))
+    return Multigraph(vs, [(f"e{k}", u, v) for k, (u, v) in enumerate(pairs)])
 
 
 @st.composite
@@ -98,3 +110,43 @@ def test_cycle_replacement_is_swapped_banana(pairs):
     ring = sum(y * prod(a[:i] + a[i + 1 :]) for i, y in enumerate(b))
     assert spantree.union_cycle_replacement(a, b) == ring
     assert spantree.union_k_banana(b, a) == ring
+
+
+def _classes(g, without=None):
+    """Each vertex's union-find root over every edge but ``without``: an
+    oracle that shares no code with the graph's own walk."""
+    parent = {v: v for v in g.vertices()}
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for ed in g.edges():
+        if ed.id != without:
+            parent[find(ed.u)] = find(ed.v)
+    return {v: find(v) for v in parent}
+
+
+@settings(SETTINGS, max_examples=200)
+@given(g=any_graphs())
+def test_reachability_matches_union_find(g):
+    root = _classes(g)
+    comps = [{v for v in root if root[v] == r} for r in set(root.values())]
+    got = g.connected_components()
+    assert sorted(map(sorted, got)) == sorted(map(sorted, comps))
+    assert g.is_connected() == (len(comps) == 1)
+    vs = g.sorted_vertices()
+    bridges = []
+    for ed in g.edges():
+        cut = _classes(g, ed.id)
+        bridge = cut[ed.u] != cut[ed.v]
+        bridges += [ed.id] if bridge else []
+        assert g.is_bridge(ed.id) == bridge
+        for s in vs:
+            for t in vs:
+                apart = cut[s] != cut[t]
+                assert g.separates(ed.id, s, t) == apart
+                kind = "bridge-on-path" if apart else "bridge-off-path"
+                assert g.bridge_kind(ed.id, s, t) == (kind if bridge else "non-bridge")
+    assert g.bridges() == bridges

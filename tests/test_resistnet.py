@@ -522,3 +522,19 @@ def test_voltage_transfer_loop_contraction():
 def test_network_requires_connected():
     with pytest.raises(DisconnectedError):
         Network(Multigraph(["a", "b"], []))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: resistnet.float_resistance(g, "a", "c"),
+        lambda g: resistnet.float_resistance(g, "a", "b"),
+        lambda g: resistnet.resistance_fd(g, "e1", "a", "c"),
+    ],
+    ids=["float-across", "float-within", "finite-difference"],
+)
+def test_float_mirror_requires_connected(call):
+    # the float mirror reports a disconnected graph like the exact path does,
+    # not as a singular elimination
+    with pytest.raises(DisconnectedError):
+        call(Multigraph.from_edges([("a", "b"), ("c", "d")]))
