@@ -165,6 +165,31 @@ MUTANTS = [
         "            prev = 1\n",
     ),
     (
+        "inverse-current-pivot-divisor",
+        "exactnum.py",
+        "(p * x - f * y) // prev",
+        "(p * x - f * y) // p",
+    ),
+    (
+        "inverse-forward-only",
+        "exactnum.py",
+        "if i != k:",
+        "if i > k:",
+    ),
+    (
+        "inverse-unscaled-identity",
+        "exactnum.py",
+        "row += [scales[i] * (i == j)",
+        "row += [1 * (i == j)",
+    ),
+    (
+        "inverse-first-pivot",
+        "exactnum.py",
+        "            prev = p\n        return Matrix([[Fraction(x, prev)",
+        "            prev, first = p, first if k else p\n"
+        "        return Matrix([[Fraction(x, first)",
+    ),
+    (
         "laplacian-diagonal",
         "graph.py",
         "rows[j][j] += c\n",

@@ -131,7 +131,9 @@ def cmd_spantree(args) -> int:
         t = spantree.count_deletion_contraction(g)
     elif args.method == "enum":
         t = spantree.count_enumeration(g)
-    else:  # vertex-del
+    elif not g.is_connected():  # vertex-del: no spanning tree to expand
+        t = 0
+    else:
         candidates = spantree.removable_vertices(g)
         if not candidates:
             raise PreconditionError("no removable non-cut vertex available")

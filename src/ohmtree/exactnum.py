@@ -3,15 +3,17 @@
 Scalars are plain ``int`` (unbounded in Python) and ``fractions.Fraction``,
 which is canonical by construction: always reduced, denominator positive.
 That canonicity is what lets every identity in this package be checked
-against literal zero instead of a tolerance.  The one Gauss-Jordan routine,
-:func:`invert_rows`, also serves the float mirror of the derivative check.
+against literal zero instead of a tolerance.  :meth:`Matrix.det` and
+:meth:`Matrix.inverse` are fraction-free (Bareiss) eliminations on rows scaled
+to integers.  The field-generic Gauss-Jordan routine :func:`invert_rows` serves
+the float mirror of the derivative check and is the tests' exact oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import lcm, prod
 from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -147,7 +149,7 @@ class Matrix:
     def det(self) -> Fraction:
         """Exact determinant via fraction-free (Bareiss) elimination.
 
-        Rows are scaled to integers first, so for integer input every
+        Rows are scaled to integers first (:meth:`_integer_rows`), so every
         intermediate value stays an integer; the scaling is divided back out
         at the end.  The empty 0x0 matrix has determinant 1.
         """
@@ -155,22 +157,15 @@ class Matrix:
         n = self.rows
         if n == 0:
             return Fraction(1)
-        scale = 1
-        work = []
-        for row in self._m:
-            d = reduce(lcm, (x.denominator for x in row), 1)
-            scale *= d
-            work.append([int(x * d) for x in row])
+        scales, work = self._integer_rows()
         sign = 1
         prev = 1
         for k in range(n - 1):
-            if work[k][k] == 0:
-                swap = next(
-                    (r for r in range(k + 1, n) if work[r][k] != 0), None
-                )
-                if swap is None:
-                    return Fraction(0)
-                work[k], work[swap] = work[swap], work[k]
+            piv = next((r for r in range(k, n) if work[r][k]), None)
+            if piv is None:
+                return Fraction(0)
+            if piv != k:
+                work[k], work[piv] = work[piv], work[k]
                 sign = -sign
             pivot = work[k][k]
             for i in range(k + 1, n):
@@ -180,12 +175,37 @@ class Matrix:
                     work[i][j] = (work[i][j] * pivot - fall * work[k][j]) // prev
                 work[i][k] = 0
             prev = pivot
-        return Fraction(sign * work[n - 1][n - 1], scale)
+        return Fraction(sign * work[n - 1][n - 1], prod(scales))
+
+    def _integer_rows(self) -> tuple:
+        """Each row's scale, the LCM of its denominators, and the rows times
+        their scales as lists of ints."""
+        scales = [reduce(lcm, (x.denominator for x in row), 1) for row in self._m]
+        return scales, [[int(x * d) for x in row] for d, row in zip(scales, self._m)]
 
     def inverse(self) -> "Matrix":
-        """Exact inverse by :func:`invert_rows`; raises SingularMatrixError."""
+        """Exact inverse by fraction-free (Bareiss) Gauss-Jordan elimination:
+        D A | D, D the row scales, is reduced to prev * I | prev * A^-1, prev
+        the last pivot, each update dividing exactly by the previous pivot.
+        Pivots and the SingularMatrixError column are those of invert_rows."""
         self._check_square()
-        return Matrix(invert_rows(self._m, Fraction(1)))
+        n = self.rows
+        scales, w = self._integer_rows()
+        for i, row in enumerate(w):
+            row += [scales[i] * (i == j) for j in range(n)]
+        prev = 1
+        for k in range(n):
+            piv = next((r for r in range(k, n) if w[r][k]), None)
+            if piv is None:
+                raise SingularMatrixError(k)
+            w[k], w[piv] = w[piv], w[k]
+            p, top = w[k][k], w[k]
+            for i in range(n):
+                if i != k:
+                    f = w[i][k]
+                    w[i] = [(p * x - f * y) // prev for x, y in zip(w[i], top)]
+            prev = p
+        return Matrix([[Fraction(x, prev) for x in row[n:]] for row in w])
 
 
 def invert_rows(rows: Sequence[Sequence], unit) -> list:

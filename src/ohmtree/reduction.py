@@ -20,7 +20,9 @@ from fractions import Fraction
 from itertools import chain, combinations, count
 from typing import List, NamedTuple, Optional, Tuple
 
-from .graph import Edge, GraphError, Multigraph, VertexId, _first_free, _vkey
+from .graph import (
+    DisconnectedError, Edge, GraphError, Multigraph, VertexId, _first_free, _vkey
+)
 
 
 class ReductionStep(NamedTuple):
@@ -98,7 +100,7 @@ def reduce_two_terminal(
     graph._require_vertex(s)
     graph._require_vertex(t)
     if not graph.is_connected():
-        raise GraphError("graph must be connected")
+        raise DisconnectedError("graph must be connected")
     trace = ReductionTrace()
     budget = max(10 * graph.m, 50)
     g = graph

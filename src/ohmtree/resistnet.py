@@ -4,12 +4,12 @@ A :class:`Network` wraps a connected multigraph, viewing each edge of length
 L as a resistor of L ohms.  Everything here is exact.  The Laplacian is
 grounded at its first sorted vertex: without that row and column it is
 invertible, and its inverse G, padded with zeros for the vertex, gives the
-pseudo-inverse P G P with P = I - J/n.  That is one rational matrix inversion
-per network, so every identity evaluator below can report a residual that is
-literally zero.  The only floating-point code is the finite-difference mirror
-used to cross-check the derivative formula; it grounds the float Laplacian
-the same way and runs through the same Gauss-Jordan routine with float
-scalars.
+pseudo-inverse P G P with P = I - J/n.  That is one exact fraction-free
+inversion (``Matrix.inverse``) per network, so every identity evaluator below
+can report a residual that is literally zero.  The only floating-point code is
+the finite-difference mirror used to cross-check the derivative formula; it
+grounds the float Laplacian the same way and inverts it by Gauss-Jordan
+elimination on floats (``exactnum.invert_rows``).
 
 Derived quantities for a surgered graph (vertices identified, an edge deleted
 or contracted, a length changed) are always computed by building the surgered
@@ -358,7 +358,7 @@ def float_resistance(
     DisconnectedError, as on the exact path.
 
     The Laplacian is grounded at the first sorted vertex: without its row
-    and column it is symmetric positive definite, so the shared Gauss-Jordan
+    and column it is symmetric positive definite, so the float Gauss-Jordan
     routine needs no pivoting.  Padded with zeros for that vertex, its
     inverse G gives r(p, q) = G[p,p] - 2 G[p,q] + G[q,q]."""
     for v in (p, q):

@@ -27,6 +27,7 @@ from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .exactnum import Matrix
 from .graph import (
+    DisconnectedError,
     EdgeId,
     GraphError,
     Multigraph,
@@ -201,7 +202,7 @@ def averaging_contractions(graph: Multigraph) -> Tuple[int, int]:
     """Contraction averaging: (n - 1) t(G) equals the sum over edges of the
     contracted counts.  Returns (t(G), residual); residual must be 0."""
     if not graph.is_connected():
-        raise GraphError("graph must be connected")
+        raise DisconnectedError("graph must be connected")
     t = count_matrix_tree(graph)
     total = sum(contracted_count(graph, e) for e in graph.edge_ids())
     return t, (graph.n - 1) * t - total
@@ -211,7 +212,7 @@ def averaging_deletions(graph: Multigraph) -> Tuple[int, int]:
     """Deletion averaging on bridgeless graphs: g t(G) equals the sum over
     edges of t(G - e).  Returns (t(G), residual)."""
     if not graph.is_connected():
-        raise GraphError("graph must be connected")
+        raise DisconnectedError("graph must be connected")
     if graph.bridges():
         raise PreconditionError("deletion averaging needs a bridgeless graph")
     t = count_matrix_tree(graph)

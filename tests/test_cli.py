@@ -83,6 +83,7 @@ def test_exit_codes(tmp_path, capsys):
 
     split = write(tmp_path, "edge e1 a b\nvertex c\n", "split.graph")
     assert main(["resistance", split, "a", "b"]) == 3
+    assert main(["reduce", split, "a", "b"]) == 3
 
     tri = write(tmp_path, TRIANGLE, "tri.graph")
     assert main(["resistance", tri, "a", "zzz"]) == 4
@@ -105,6 +106,12 @@ def test_cmd_spantree_methods(tmp_path, capsys, monkeypatch):
     for method in ("matrix", "dc", "enum", "vertex-del"):
         assert main(["spantree", path, "--method", method]) == 0
         assert capsys.readouterr().out.strip() == "125"
+
+    # two components: no spanning tree, whatever the method
+    split = write(tmp_path, "edge e1 a b\nedge e2 b c\nedge e3 d e\n", "split.graph")
+    for method in ("matrix", "dc", "enum", "vertex-del"):
+        assert main(["spantree", split, "--method", method]) == 0
+        assert capsys.readouterr().out.strip() == "0"
 
     # K5 takes a few hundred deletion-contraction nodes
     monkeypatch.setattr(spantree, "DC_NODE_BUDGET", 10)

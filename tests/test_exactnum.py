@@ -5,6 +5,8 @@ from itertools import permutations
 import pytest
 
 from ohmtree.exactnum import Matrix, SingularMatrixError, invert_rows, rational
+from ohmtree.graph import Multigraph
+from ohmtree.resistnet import laplacian
 
 
 def cofactor_det(m: Matrix) -> Fraction:
@@ -106,6 +108,65 @@ def test_inverse_singular_reports_pivot():
     with pytest.raises(SingularMatrixError) as info:
         invert_rows([[1.0, 2.0], [2.0, 4.0]], 1.0)
     assert info.value.pivot == 1
+
+
+def _invert_both(rows):
+    """Matrix.inverse and the Fraction Gauss-Jordan oracle on ``rows``: each
+    an entry list, or the SingularMatrixError it raised."""
+
+    def fraction_free():
+        inverse = Matrix(rows).inverse()
+        return [list(inverse.row(i)) for i in range(inverse.rows)]
+
+    results = []
+    for invert in (fraction_free, lambda: invert_rows(rows, Fraction(1))):
+        try:
+            results.append(invert())
+        except SingularMatrixError as exc:
+            results.append(exc)
+    return results
+
+
+def test_inverse_matches_gauss_jordan():
+    rng = random.Random(1968)
+
+    def entry():
+        return Fraction(rng.choice((0, 0, rng.randint(-5, 5))), rng.randint(1, 6))
+
+    singular = 0
+    for trial in range(300):
+        n = rng.randint(1, 7)
+        rows = [[entry() for _ in range(n)] for _ in range(n)]
+        if trial % 2:
+            rows[0][0] = Fraction(0)  # the first pivot needs a row swap
+        fraction_free, gauss_jordan = _invert_both(rows)
+        if isinstance(gauss_jordan, SingularMatrixError):
+            singular += 1
+            assert isinstance(fraction_free, SingularMatrixError)
+            assert fraction_free.pivot == gauss_jordan.pivot
+        else:
+            assert fraction_free == gauss_jordan
+    assert 20 <= singular <= 280  # both kinds of input occur
+
+    # a weighted 7x7 grid Laplacian grounded at its first vertex: 48 rows
+    grid = Multigraph.from_edges(
+        ((i, j), (i + di, j + dj), Fraction(rng.randint(1, 4), rng.randint(1, 4)))
+        for i in range(7)
+        for j in range(7)
+        for di, dj in ((0, 1), (1, 0))
+        if i + di < 7 and j + dj < 7
+    )
+    grounded = laplacian(grid).drop(0, 0)
+    fraction_free, gauss_jordan = _invert_both([grounded.row(i) for i in range(48)])
+    assert fraction_free == gauss_jordan
+
+
+def test_float_inverse_zero_leading_pivot():
+    # the float routine swaps rows, so both sides of the system must move
+    rows = [[0.0, 1.0], [1.0, 2.0]]
+    exact = Matrix([[Fraction(x) for x in row] for row in rows]).inverse()
+    approx = invert_rows(rows, 1.0)
+    assert approx == [[float(exact[i, j]) for j in range(2)] for i in range(2)]
 
 
 def test_float_inverse_matches_exact():

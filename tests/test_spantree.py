@@ -7,6 +7,7 @@ import pytest
 
 from ohmtree import spantree
 from ohmtree.graph import (
+    DisconnectedError,
     GraphError,
     Multigraph,
     PreconditionError,
@@ -227,6 +228,13 @@ def test_averaging_deletions():
     )  # 4^(4-3) * (4-2)
     with pytest.raises(PreconditionError):
         averaging_deletions(path_graph(3))
+
+
+def test_averaging_requires_connected():
+    split = Multigraph(["a", "b", "c", "d"], [("e1", "a", "b"), ("e2", "c", "d")])
+    for law in (averaging_contractions, averaging_deletions):
+        with pytest.raises(DisconnectedError):
+            law(split)
 
 
 def test_union_formula_vectors():
