@@ -125,8 +125,14 @@ MUTANTS = [
     (
         "pseudo-inverse-centring",
         "resistnet.py",
-        "x - a - b + mean",
-        "x - a - b - mean",
+        "nn * x - n * (a + b) + total",
+        "nn * x - n * (a + b) - total",
+    ),
+    (
+        "query-numerator",
+        "resistnet.py",
+        "m[i][i] - 2 * m[i][j] + m[j][j]",
+        "m[i][i] - 1 * m[i][j] + m[j][j]",
     ),
     (
         "recurrence-shift",
@@ -179,15 +185,34 @@ MUTANTS = [
     (
         "inverse-unscaled-identity",
         "exactnum.py",
-        "row += [scales[i] * (i == j)",
-        "row += [1 * (i == j)",
+        "*(d * (i == j) for j in range(n))",
+        "*(1 * (i == j) for j in range(n))",
     ),
     (
         "inverse-first-pivot",
         "exactnum.py",
-        "            prev = p\n        return Matrix([[Fraction(x, prev)",
+        "            prev = p\n"
+        "        return Matrix.from_integer_rows([row[n:] for row in w], prev)",
         "            prev, first = p, first if k else p\n"
-        "        return Matrix([[Fraction(x, first)",
+        "        return Matrix.from_integer_rows([row[n:] for row in w], first)",
+    ),
+    (
+        "matrix-unreduced",
+        "exactnum.py",
+        "g = gcd(den, *chain.from_iterable(num))",
+        "g = 1",
+    ),
+    (
+        "matrix-negative-denominator",
+        "exactnum.py",
+        "g = -g if den < 0 else g",
+        "g = g",
+    ),
+    (
+        "det-denominator-power",
+        "exactnum.py",
+        "self._den ** n)",
+        "self._den)",
     ),
     (
         "laplacian-diagonal",

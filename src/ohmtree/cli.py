@@ -131,8 +131,8 @@ def cmd_spantree(args) -> int:
         t = spantree.count_deletion_contraction(g)
     elif args.method == "enum":
         t = spantree.count_enumeration(g)
-    elif not g.is_connected():  # vertex-del: no spanning tree to expand
-        t = 0
+    elif g.n < 2 or not g.is_connected():  # vertex-del needs n >= 2, connected
+        t = spantree.count_matrix_tree(g)
     else:
         candidates = spantree.removable_vertices(g)
         if not candidates:

@@ -3,17 +3,21 @@
 Scalars are plain ``int`` (unbounded in Python) and ``fractions.Fraction``,
 which is canonical by construction: always reduced, denominator positive.
 That canonicity is what lets every identity in this package be checked
-against literal zero instead of a tolerance.  :meth:`Matrix.det` and
-:meth:`Matrix.inverse` are fraction-free (Bareiss) eliminations on rows scaled
-to integers.  The field-generic Gauss-Jordan routine :func:`invert_rows` serves
-the float mirror of the derivative check and is the tests' exact oracle.
+against literal zero instead of a tolerance.  A :class:`Matrix` is canonical
+the same way: integer rows over one positive common denominator, in lowest
+terms, with a ``Fraction`` built only when an entry is read.  Its
+:meth:`~Matrix.det` and :meth:`~Matrix.inverse` are fraction-free (Bareiss)
+eliminations on the integer rows.  The field-generic Gauss-Jordan routine
+:func:`invert_rows` serves the float mirror of the derivative check and is the
+tests' exact oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from math import lcm, prod
+from itertools import chain
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -41,17 +45,35 @@ class SingularMatrixError(ValueError):
 
 
 class Matrix:
-    """Dense matrix with Fraction entries, row-major, treated as immutable."""
+    """Dense rational matrix, row-major, treated as immutable: integer rows
+    ``numerators`` over one ``denominator`` > 0, in lowest terms.  The form is
+    canonical, so equal matrices compare and hash equal however built."""
 
-    __slots__ = ("rows", "cols", "_m")
+    __slots__ = ("rows", "cols", "_num", "_den")
 
     def __init__(self, entries: Sequence[Sequence[Scalar]]):
-        m = tuple(tuple(rational(x) for x in row) for row in entries)
-        self.rows = len(m)
-        self.cols = len(m[0]) if m else 0
-        if any(len(row) != self.cols for row in m):
+        m = [[x if isinstance(x, int) else rational(x) for x in row] for row in entries]
+        if any(len(row) != len(m[0]) for row in m):
             raise ValueError("ragged rows")
-        self._m = m
+        den = lcm(*(x.denominator for row in m for x in row))
+        self._set([[x.numerator * den // x.denominator for x in row] for row in m], den)
+
+    def _set(self, num: Sequence[Sequence[int]], den: int) -> "Matrix":
+        g = gcd(den, *chain.from_iterable(num))
+        g = -g if den < 0 else g
+        num = num if g == 1 else [[x // g for x in row] for row in num]
+        self._num, self._den = tuple(map(tuple, num)), den // g
+        self.rows, self.cols = len(num), len(num[0]) if num else 0
+        return self
+
+    @classmethod
+    def from_integer_rows(cls, num: Sequence[Sequence[int]], den: int) -> "Matrix":
+        """The matrix ``num / den`` for integer rows and a nonzero integer
+        denominator, reduced to lowest terms with a positive denominator."""
+        return cls.__new__(cls)._set(num, den)
+
+    numerators = property(lambda self: self._num)
+    denominator = property(lambda self: self._den)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -59,43 +81,39 @@ class Matrix:
 
     @classmethod
     def filled(cls, rows: int, cols: int, value: Scalar = 0) -> "Matrix":
-        v = rational(value)
-        return cls([[v] * cols for _ in range(rows)])
+        return cls([[rational(value)] * cols for _ in range(rows)])
 
     def __getitem__(self, key) -> Fraction:
         i, j = key
-        return self._m[i][j]
+        return Fraction(self._num[i][j], self._den)
 
     def row(self, i: int) -> tuple:
-        return self._m[i]
+        return tuple(Fraction(x, self._den) for x in self._num[i])
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self._m == other._m
+        return isinstance(other, Matrix) and self._den == other._den and (
+            self._num == other._num
+        )
 
     def __hash__(self):
-        return hash(self._m)
+        return hash((self._num, self._den))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self._m)
+        body = "; ".join(" ".join(map(str, self.row(i))) for i in range(self.rows))
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._m, other._m)
-            ]
-        )
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError(
+                f"dimension mismatch: {self.rows}x{self.cols} vs "
+                f"{other.rows}x{other.cols}"
+            )
+        a, b, rows = self._den, other._den, zip(self._num, other._num)
+        num = [[x * b + y * a for x, y in zip(r, s)] for r, s in rows]
+        return Matrix.from_integer_rows(num, a * b)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._m, other._m)
-            ]
-        )
+        return self + other * -1
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -104,60 +122,45 @@ class Matrix:
                     f"dimension mismatch: {self.rows}x{self.cols} * "
                     f"{other.rows}x{other.cols}"
                 )
-            cols = other.transpose()._m
-            return Matrix(
-                [
-                    [sum(a * b for a, b in zip(row, col)) for col in cols]
-                    for row in self._m
-                ]
-            )
+            cols = list(zip(*other._num))
+            num = [[sum(map(mul, row, col)) for col in cols] for row in self._num]
+            return Matrix.from_integer_rows(num, self._den * other._den)
         c = rational(other)
-        return Matrix([[c * x for x in row] for row in self._m])
+        num = [[c.numerator * x for x in row] for row in self._num]
+        return Matrix.from_integer_rows(num, c.denominator * self._den)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self._m))) if self.rows else Matrix([])
+        return Matrix.from_integer_rows(list(zip(*self._num)), self._den)
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and self == self.transpose()
 
     def drop(self, i: int, j: int) -> "Matrix":
         """Matrix with row i and column j removed."""
-        return Matrix(
+        return Matrix.from_integer_rows(
             [
                 [x for cj, x in enumerate(row) if cj != j]
-                for ri, row in enumerate(self._m)
+                for ri, row in enumerate(self._num)
                 if ri != i
-            ]
-            if self.rows > 1
-            else []
+            ],
+            self._den,
         )
-
-    def _check_same_shape(self, other: "Matrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError(
-                f"dimension mismatch: {self.rows}x{self.cols} vs "
-                f"{other.rows}x{other.cols}"
-            )
 
     def _check_square(self) -> None:
         if self.rows != self.cols:
             raise ValueError(f"not square: {self.rows}x{self.cols}")
 
     def det(self) -> Fraction:
-        """Exact determinant via fraction-free (Bareiss) elimination.
-
-        Rows are scaled to integers first (:meth:`_integer_rows`), so every
-        intermediate value stays an integer; the scaling is divided back out
-        at the end.  The empty 0x0 matrix has determinant 1.
-        """
+        """Exact determinant via fraction-free (Bareiss) elimination on the
+        integer rows, divided by the denominator to the n-th power at the
+        end.  The empty 0x0 matrix has determinant 1."""
         self._check_square()
         n = self.rows
         if n == 0:
             return Fraction(1)
-        scales, work = self._integer_rows()
+        work = [list(row) for row in self._num]
         sign = 1
         prev = 1
         for k in range(n - 1):
@@ -175,24 +178,17 @@ class Matrix:
                     work[i][j] = (work[i][j] * pivot - fall * work[k][j]) // prev
                 work[i][k] = 0
             prev = pivot
-        return Fraction(sign * work[n - 1][n - 1], prod(scales))
-
-    def _integer_rows(self) -> tuple:
-        """Each row's scale, the LCM of its denominators, and the rows times
-        their scales as lists of ints."""
-        scales = [reduce(lcm, (x.denominator for x in row), 1) for row in self._m]
-        return scales, [[int(x * d) for x in row] for d, row in zip(scales, self._m)]
+        return Fraction(sign * work[n - 1][n - 1], self._den ** n)
 
     def inverse(self) -> "Matrix":
-        """Exact inverse by fraction-free (Bareiss) Gauss-Jordan elimination:
-        D A | D, D the row scales, is reduced to prev * I | prev * A^-1, prev
-        the last pivot, each update dividing exactly by the previous pivot.
-        Pivots and the SingularMatrixError column are those of invert_rows."""
+        """Exact inverse A^-1 of A = N / d by fraction-free (Bareiss)
+        Gauss-Jordan elimination: N | d I becomes prev I | prev A^-1, each
+        update dividing exactly by the previous pivot, and the right block is
+        reduced over the last pivot prev, whose sign may be negative.  Pivots
+        and the SingularMatrixError column are those of invert_rows."""
         self._check_square()
-        n = self.rows
-        scales, w = self._integer_rows()
-        for i, row in enumerate(w):
-            row += [scales[i] * (i == j) for j in range(n)]
+        n, d = self.rows, self._den
+        w = [[*r, *(d * (i == j) for j in range(n))] for i, r in enumerate(self._num)]
         prev = 1
         for k in range(n):
             piv = next((r for r in range(k, n) if w[r][k]), None)
@@ -205,7 +201,7 @@ class Matrix:
                     f = w[i][k]
                     w[i] = [(p * x - f * y) // prev for x, y in zip(w[i], top)]
             prev = p
-        return Matrix([[Fraction(x, prev) for x in row[n:]] for row in w])
+        return Matrix.from_integer_rows([row[n:] for row in w], prev)
 
 
 def invert_rows(rows: Sequence[Sequence], unit) -> list:

@@ -3,13 +3,14 @@
 A :class:`Network` wraps a connected multigraph, viewing each edge of length
 L as a resistor of L ohms.  Everything here is exact.  The Laplacian is
 grounded at its first sorted vertex: without that row and column it is
-invertible, and its inverse G, padded with zeros for the vertex, gives the
-pseudo-inverse P G P with P = I - J/n.  That is one exact fraction-free
-inversion (``Matrix.inverse``) per network, so every identity evaluator below
-can report a residual that is literally zero.  The only floating-point code is
-the finite-difference mirror used to cross-check the derivative formula; it
-grounds the float Laplacian the same way and inverts it by Gauss-Jordan
-elimination on floats (``exactnum.invert_rows``).
+invertible by one fraction-free ``Matrix.inverse`` per network, and the inverse,
+padded with zeros, is centred in integers to the pseudo-inverse.  Each
+resistance or voltage is one integer combination of its numerators over its
+one denominator, so every identity evaluator below can report a residual that
+is literally zero.  The only floating-point code is the finite-difference
+mirror used to cross-check the derivative formula; it grounds the float
+Laplacian the same way and inverts it by Gauss-Jordan elimination on floats
+(``exactnum.invert_rows``).
 
 Derived quantities for a surgered graph (vertices identified, an edge deleted
 or contracted, a length changed) are always computed by building the surgered
@@ -44,8 +45,9 @@ def laplacian(graph: Multigraph) -> Matrix:
 
 def pseudo_inverse(lap: Matrix) -> Matrix:
     """Moore-Penrose pseudo-inverse of a connected-graph Laplacian: the
-    inverse G of L grounded at vertex 0, padded with zeros for that vertex,
-    centred as P G P with P = I - J/n."""
+    inverse W / d of L grounded at vertex 0, padded with zeros for that vertex,
+    centred as P (W / d) P with P = I - J/n, which is the integer matrix
+    n^2 W - n (s_i + s_j) + S over n^2 d, s the row sums of W and S their sum."""
     n = lap.rows
     if n == 0:
         raise ValueError("empty matrix")
@@ -55,11 +57,11 @@ def pseudo_inverse(lap: Matrix) -> Matrix:
         raise DisconnectedError(
             f"matrix is not a connected-graph laplacian (pivot {exc.pivot + 1})"
         ) from exc
-    zero = Fraction(0)
-    g = [[zero] * n] + [[zero, *grounded.row(i)] for i in range(n - 1)]
-    m = [sum(row) / n for row in g]
-    mean = sum(m) / n
-    return Matrix([[x - a - b + mean for x, b in zip(row, m)] for row, a in zip(g, m)])
+    w = [(0,) * n] + [(0, *row) for row in grounded.numerators]
+    s = [sum(row) for row in w]
+    total, nn = sum(s), n * n
+    num = [[nn * x - n * (a + b) + total for x, b in zip(r, s)] for r, a in zip(w, s)]
+    return Matrix.from_integer_rows(num, nn * grounded.denominator)
 
 
 class Network:
@@ -92,14 +94,16 @@ class Network:
         """Effective resistance r(p, q) = l+pp - 2 l+pq + l+qq."""
         lp = self.pseudo_inverse
         i, j = self._i(p), self._i(q)
-        return lp[i, i] - 2 * lp[i, j] + lp[j, j]
+        m = lp.numerators
+        return Fraction(m[i][i] - 2 * m[i][j] + m[j][j], lp.denominator)
 
     def voltage(self, z: VertexId, x: VertexId, y: VertexId) -> Fraction:
         """Voltage j_z(x, y): potential at x, reference 0 at z, when unit
         current enters at y and exits at z.  Equals l+zz - l+zx - l+zy + l+xy."""
         lp = self.pseudo_inverse
         a, b, c = self._i(z), self._i(x), self._i(y)
-        return lp[a, a] - lp[a, b] - lp[a, c] + lp[b, c]
+        m = lp.numerators
+        return Fraction(m[a][a] - m[a][b] - m[a][c] + m[b][c], lp.denominator)
 
     # -- derived networks --------------------------------------------------
 

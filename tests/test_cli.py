@@ -113,6 +113,12 @@ def test_cmd_spantree_methods(tmp_path, capsys, monkeypatch):
         assert main(["spantree", split, "--method", method]) == 0
         assert capsys.readouterr().out.strip() == "0"
 
+    # one vertex: the empty tree, whatever the method
+    single = write(tmp_path, "vertex a\n", "single.graph")
+    for method in ("matrix", "dc", "enum", "vertex-del"):
+        assert main(["spantree", single, "--method", method]) == 0
+        assert capsys.readouterr().out.strip() == "1"
+
     # K5 takes a few hundred deletion-contraction nodes
     monkeypatch.setattr(spantree, "DC_NODE_BUDGET", 10)
     assert main(["spantree", path, "--method", "dc"]) == 5

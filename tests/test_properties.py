@@ -1,16 +1,20 @@
 """Property tests: the exact laws hold with a residual of literal zero on
 every small connected multigraph Hypothesis generates, the reachability
-queries agree with a union-find oracle on any small multigraph, and a
+queries agree with a union-find oracle on any small multigraph, an exact
+``Matrix`` is canonical whatever form its entries are written in, and a
 failure shrinks to the smallest counterexample graph."""
 
 from fractions import Fraction
-from math import prod
+from itertools import chain
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_exactnum import cofactor_det
 
 from ohmtree import resistnet, spantree
+from ohmtree.exactnum import Matrix, SingularMatrixError, invert_rows
 from ohmtree.graph import Multigraph
 from ohmtree.resistnet import Network
 
@@ -150,3 +154,74 @@ def test_reachability_matches_union_find(g):
                 kind = "bridge-on-path" if apart else "bridge-off-path"
                 assert g.bridge_kind(ed.id, s, t) == (kind if bridge else "non-bridge")
     assert g.bridges() == bridges
+
+
+@st.composite
+def rational_matrices(draw):
+    """A square matrix of Fractions with n 0-5, negative entries, maybe a
+    zero row (so singular inputs occur) and a factor all entries share; and
+    the same values each written as an int when integral, a Fraction, a
+    "p/q" string or Fraction(k p, k q)."""
+    n = draw(st.integers(0, 5))
+    shared = draw(LENGTHS)
+    entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    rows = [[shared * draw(entry) for _ in range(n)] for _ in range(n)]
+    if n and draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = [Fraction(0)] * n
+    k = draw(st.integers(2, 5))
+    forms = st.sampled_from(
+        [
+            lambda x: int(x) if x.denominator == 1 else x,
+            lambda x: x,
+            lambda x: f"{k * x.numerator}/{k * x.denominator}",
+            lambda x: Fraction(k * x.numerator, k * x.denominator),
+        ]
+    )
+    return rows, [[draw(forms)(x) for x in row] for row in rows]
+
+
+def _canonical(m):
+    """``m`` itself, after checking its denominator is positive and shares
+    no factor with all of its numerators."""
+    assert m.denominator > 0
+    assert gcd(m.denominator, *chain.from_iterable(m.numerators)) == 1
+    return m
+
+
+def _inverse_or_pivot(invert):
+    try:
+        return _canonical(invert())
+    except SingularMatrixError as exc:
+        return exc.pivot
+
+
+@settings(SETTINGS, max_examples=100)
+@given(case=rational_matrices())
+def test_matrix_is_canonical(case):
+    rows, written = case
+    n = len(rows)
+    m, ref = _canonical(Matrix(written)), Matrix(rows)
+    assert m == ref and hash(m) == hash(ref)
+    for i in range(n):
+        entries = [m[i, j] for j in range(n)]
+        assert entries == rows[i] and m.row(i) == tuple(rows[i])
+        assert all(type(x) is Fraction for x in (*entries, *m.row(i)))
+        for j in range(n):
+            kept = [r[:j] + r[j + 1 :] for h, r in enumerate(rows) if h != i]
+            assert _canonical(m.drop(i, j)) == Matrix(kept)
+    assert _canonical(m.transpose()) == Matrix(list(zip(*rows)))
+    assert m.det() == cofactor_det(ref)
+    inverse = _inverse_or_pivot(m.inverse)
+    expect = _inverse_or_pivot(lambda: Matrix(invert_rows(rows, Fraction(1))))
+    assert inverse == expect and hash(inverse) == hash(expect)
+
+
+def test_matrix_canonical_examples():
+    with pytest.raises(TypeError):
+        Matrix([[1, 0.5]])
+    # the last Bareiss pivot is negative for the second and third matrices,
+    # so the inverse's common denominator has its sign flipped
+    for rows in ([[0, 1], [1, 0]], [[0, 1], [-1, 0]], [[Fraction(-2, 3)]]):
+        inverse = Matrix(rows).inverse()
+        ref = Matrix(invert_rows([[Fraction(x) for x in r] for r in rows], Fraction(1)))
+        assert _canonical(inverse) == ref and hash(inverse) == hash(ref)

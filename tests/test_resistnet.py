@@ -120,18 +120,37 @@ def test_pseudo_inverse_axioms():
         assert lp * ones == Matrix.filled(lp.rows, 1, 0)
 
 
-@pytest.mark.parametrize("k", [3, 5, 7])
-def test_pseudo_inverse_matches_rank_one_reference_on_grids(k):
-    rng = random.Random(k)
-    edges = [
+def weighted_grid(rng, k):
+    return Multigraph.from_edges(
         (f"x{i}_{j}", f"x{i + di}_{j + dj}", random_lengths(rng, 1)[0])
         for i in range(k)
         for j in range(k)
         for di, dj in ((1, 0), (0, 1))
         if i + di < k and j + dj < k
-    ]
-    lap = laplacian(Multigraph.from_edges(edges))
+    )
+
+
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_pseudo_inverse_matches_rank_one_reference_on_grids(k):
+    lap = laplacian(weighted_grid(random.Random(k), k))
     assert pseudo_inverse(lap) == rank_one_reference(lap)
+
+
+def test_queries_match_pseudo_inverse_entries():
+    # r and j straight from the pseudo-inverse's entries, read as Fractions
+    small = list(random_nets(seed=12, count=10))
+    for net in [*small, Network(weighted_grid(random.Random(77), 7))]:
+        lp, vs = net.pseudo_inverse, net.graph.sorted_vertices()
+        for i, p in enumerate(vs):
+            for j, q in enumerate(vs):
+                assert net.resistance(p, q) == lp[i, i] - 2 * lp[i, j] + lp[j, j]
+    for net in small:
+        lp, vs = net.pseudo_inverse, net.graph.sorted_vertices()
+        for a, z in enumerate(vs):
+            for b, x in enumerate(vs):
+                for c, y in enumerate(vs):
+                    expect = lp[a, a] - lp[a, b] - lp[a, c] + lp[b, c]
+                    assert net.voltage(z, x, y) == expect
 
 
 @pytest.mark.parametrize(
