@@ -65,7 +65,7 @@ MUTANTS = [
     (
         "contracted-keeps-ends",
         "spantree.py",
-        "identified_count(graph.delete_edge(e), graph.endpoints(e))",
+        "identified_count(graph.delete_edge(e), (u, v))",
         "identified_count(graph.delete_edge(e))",
     ),
     (
@@ -127,6 +127,18 @@ MUTANTS = [
         "resistnet.py",
         "nn * x - n * (a + b) + total",
         "nn * x - n * (a + b) - total",
+    ),
+    (
+        "laplacian-conductance-swapped",
+        "resistnet.py",
+        "d // e.length.numerator * e.length.denominator",
+        "d // e.length.denominator * e.length.numerator",
+    ),
+    (
+        "laplacian-unit-denominator",
+        "resistnet.py",
+        "return Matrix.from_integer_rows(rows, d)",
+        "return Matrix.from_integer_rows(rows, 1)",
     ),
     (
         "query-numerator",
@@ -219,6 +231,12 @@ MUTANTS = [
         "graph.py",
         "rows[j][j] += c\n",
         "rows[j][j] += c + c\n",
+    ),
+    (
+        "bridge-memo-fixed-key",
+        "graph.py",
+        "return memo[e]",
+        "return memo[next(iter(memo))]",
     ),
     (
         "reach-crosses-avoided-edge",

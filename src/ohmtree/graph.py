@@ -9,12 +9,16 @@ Vertex and edge ids are opaque hashables.  Merging produces a
 :class:`MergedVertex`, a frozenset of the original atoms, so repeated
 identifications compose: merging {a,b} and then {ab,c} yields the same vertex
 id as merging {a,b,c} directly.
+
+A graph never changes, so it computes its sorted vertex and edge order, its
+connectivity and each edge's bridge answer once, on first use, and keeps them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from hashlib import sha256
 from typing import Callable, Dict, Hashable, Iterable, List, NamedTuple, Set, Tuple
 
@@ -116,8 +120,6 @@ class Multigraph:
     """Undirected multigraph with parallel edges, self-loops, and positive
     rational edge lengths (resistances)."""
 
-    __slots__ = ("_vertices", "_edges", "_incident")
-
     def __init__(
         self,
         vertices: Iterable[VertexId],
@@ -127,18 +129,19 @@ class Multigraph:
         es: Dict[EdgeId, Edge] = {}
         for spec in edges:
             if isinstance(spec, Edge):
-                e = spec._replace(length=rational(spec.length))
+                e = spec
             else:
                 eid, u, v, *rest = spec
-                length = rational(rest[0]) if rest else Fraction(1)
-                e = Edge(eid, u, v, length)
+                e = Edge(eid, u, v, rest[0] if rest else 1)
+            if not isinstance(e.length, Fraction):
+                e = e._replace(length=rational(e.length))
             if e.id in es:
                 raise GraphError(f"duplicate edge id {e.id!r}")
             if e.u not in vs or e.v not in vs:
                 raise UnknownVertexError(
                     f"edge {e.id!r} endpoint not among declared vertices"
                 )
-            if e.length <= 0:
+            if e.length.numerator <= 0:
                 raise GraphError(f"edge {e.id!r} has non-positive length")
             es[e.id] = e
         self._vertices = frozenset(vs)
@@ -149,6 +152,7 @@ class Multigraph:
             if e.v != e.u:
                 incident[e.v].append(e.id)
         self._incident = incident
+        self._bridge: Dict[EdgeId, bool] = {}
 
     @classmethod
     def from_edges(
@@ -177,14 +181,19 @@ class Multigraph:
     def vertices(self) -> frozenset:
         return self._vertices
 
+    @cached_property
+    def _order(self) -> tuple:
+        edges = sorted(self._edges.values(), key=lambda e: _vkey(e.id))
+        return sorted(self._vertices, key=_vkey), edges
+
     def sorted_vertices(self) -> list:
-        return sorted(self._vertices, key=_vkey)
+        return list(self._order[0])
 
     def edges(self) -> List[Edge]:
-        return sorted(self._edges.values(), key=lambda e: _vkey(e.id))
+        return list(self._order[1])
 
     def edge_ids(self) -> list:
-        return sorted(self._edges, key=_vkey)
+        return [e.id for e in self._order[1]]
 
     def edge(self, e: EdgeId) -> Edge:
         try:
@@ -265,12 +274,19 @@ class Multigraph:
             comps.append(comp)
         return comps
 
-    def is_connected(self) -> bool:
+    @cached_property
+    def _connected(self) -> bool:
         return self.n <= 1 or len(self._reach(next(iter(self._vertices)))) == self.n
+
+    def is_connected(self) -> bool:
+        return self._connected
 
     def is_bridge(self, e: EdgeId) -> bool:
         """True iff deleting the edge disconnects its endpoints."""
-        return self.separates(e, *self.endpoints(e))
+        memo = self._bridge
+        if e not in memo:
+            memo[e] = self.separates(e, *self.endpoints(e))
+        return memo[e]
 
     def bridges(self) -> list:
         return [e for e in self.edge_ids() if self.is_bridge(e)]
@@ -295,10 +311,11 @@ class Multigraph:
         """Laplacian rows in sorted vertex order: off-diagonal -(sum of
         ``conductance(edge)`` over the joining edges), diagonal chosen so
         rows sum to zero.  Self-loops contribute nothing."""
-        idx = {v: i for i, v in enumerate(self.sorted_vertices())}
+        vertices, edges = self._order
+        idx = {v: i for i, v in enumerate(vertices)}
         n = len(idx)
         rows = [[0] * n for _ in range(n)]
-        for e in self.edges():
+        for e in edges:
             if e.is_loop():
                 continue
             c = conductance(e)
@@ -409,7 +426,7 @@ class Multigraph:
         )
 
     def __hash__(self):
-        return hash((self._vertices, tuple(sorted(self._edges, key=_vkey))))
+        return hash((self._vertices, tuple(e.id for e in self._order[1])))
 
     def __repr__(self) -> str:
         return f"Multigraph(n={self.n}, m={self.m}, hash={self.graph_hash()})"

@@ -2,14 +2,15 @@
 
 A :class:`Network` wraps a connected multigraph, viewing each edge of length
 L as a resistor of L ohms.  Everything here is exact.  The Laplacian is
-grounded at its first sorted vertex: without that row and column it is
-invertible by one fraction-free ``Matrix.inverse`` per network, and the inverse,
-padded with zeros, is centred in integers to the pseudo-inverse.  Each
-resistance or voltage is one integer combination of its numerators over its
-one denominator, so every identity evaluator below can report a residual that
-is literally zero.  The only floating-point code is the finite-difference
-mirror used to cross-check the derivative formula; it grounds the float
-Laplacian the same way and inverts it by Gauss-Jordan elimination on floats
+assembled in integers over one common denominator and grounded at its first
+sorted vertex: without that row and column it is invertible by one
+fraction-free ``Matrix.inverse`` per network, and the inverse, padded with
+zeros, is centred in integers to the pseudo-inverse.  Each resistance or
+voltage is one integer combination of its numerators over its one denominator,
+so every identity evaluator below can report a residual that is literally
+zero.  The only floating-point code is the finite-difference mirror used to
+cross-check the derivative formula; it grounds the float Laplacian the same
+way and inverts it by Gauss-Jordan elimination on floats
 (``exactnum.invert_rows``).
 
 Derived quantities for a surgered graph (vertices identified, an edge deleted
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, partial
+from math import lcm
 from typing import Dict, List, NamedTuple, Tuple
 
 from .exactnum import Matrix, SingularMatrixError, invert_rows, rational
@@ -36,11 +38,13 @@ from .graph import (
 
 
 def laplacian(graph: Multigraph) -> Matrix:
-    """Discrete Laplacian with conductance 1/L per edge, vertices in the
-    graph's sorted order."""
+    """Discrete Laplacian, conductance 1/L per edge, in sorted vertex order:
+    integer rows of D / L over D, the lcm of the non-loop L's numerators."""
     if not graph.is_connected():
         raise DisconnectedError("laplacian of a disconnected graph")
-    return Matrix(graph.laplacian_rows(lambda e: 1 / e.length))
+    d = lcm(*(e.length.numerator for e in graph.edges() if not e.is_loop()))
+    rows = graph.laplacian_rows(lambda e: d // e.length.numerator * e.length.denominator)
+    return Matrix.from_integer_rows(rows, d)
 
 
 def pseudo_inverse(lap: Matrix) -> Matrix:

@@ -48,9 +48,7 @@ def count_matrix_tree(graph: Multigraph) -> int:
     if graph.n == 0:
         raise GraphError("graph has no vertices")
     rows = graph.laplacian_rows(lambda e: 1)
-    det = Matrix([row[1:] for row in rows[1:]]).det()
-    assert det.denominator == 1
-    return int(det)
+    return int(Matrix.from_integer_rows([row[1:] for row in rows[1:]], 1).det())
 
 
 DC_NODE_BUDGET = 100_000
@@ -171,7 +169,8 @@ def identified_count(graph: Multigraph, *groups: Sequence[VertexId]) -> int:
 def contracted_count(graph: Multigraph, e: EdgeId) -> int:
     """t of the graph with edge e contracted: G - e with e's ends identified,
     so a self-loop counts as zero by the identified-count convention."""
-    return identified_count(graph.delete_edge(e), graph.endpoints(e))
+    u, v = graph.endpoints(e)
+    return 0 if u == v else identified_count(graph.delete_edge(e), (u, v))
 
 
 def resistance_from_trees(graph: Multigraph, p: VertexId, q: VertexId) -> Fraction:

@@ -178,6 +178,17 @@ def test_is_bridge():
     assert not g.is_bridge("l")
 
 
+def test_kept_order_is_not_shared_with_callers():
+    g = Multigraph.from_edges([("b", "a"), ("a", "c"), ("c", "c")])
+    for read in (g.sorted_vertices, g.edges, g.edge_ids):
+        kept, returned = read(), read()
+        returned.reverse()
+        returned.append("junk")
+        assert read() == kept
+    assert g.sorted_vertices() == ["a", "b", "c"]
+    assert g.edge_ids() == ["e1", "e2", "e3"]
+
+
 def test_separates():
     g = Multigraph.from_edges(
         [("a", "b"), ("b", "c"), ("c", "b"), ("c", "d"), ("d", "d")]

@@ -1,6 +1,7 @@
 """Property tests: the exact laws hold with a residual of literal zero on
 every small connected multigraph Hypothesis generates, the reachability
-queries agree with a union-find oracle on any small multigraph, an exact
+queries and the order, connectivity and bridge answers a graph keeps agree
+with a fresh sort and a union-find oracle on any small multigraph, an exact
 ``Matrix`` is canonical whatever form its entries are written in, and a
 failure shrinks to the smallest counterexample graph."""
 
@@ -37,14 +38,16 @@ def graphs(draw):
 
 
 @st.composite
-def any_graphs(draw):
-    """Multigraph on 1-6 vertices with up to eight freely drawn unit edges:
-    self-loops, parallel edges, isolated vertices and several components
-    all occur."""
+def any_graphs(draw, lengths=st.just(1)):
+    """Multigraph on 1-6 vertices with up to eight freely drawn edges, of
+    unit length unless ``lengths`` says otherwise: self-loops, parallel
+    edges, isolated vertices and several components all occur."""
     vs = [f"v{i}" for i in range(draw(st.integers(1, 6)))]
     ends = st.sampled_from(vs)
     pairs = draw(st.lists(st.tuples(ends, ends), max_size=8))
-    return Multigraph(vs, [(f"e{k}", u, v) for k, (u, v) in enumerate(pairs)])
+    return Multigraph(
+        vs, [(f"e{k}", u, v, draw(lengths)) for k, (u, v) in enumerate(pairs)]
+    )
 
 
 @st.composite
@@ -154,6 +157,33 @@ def test_reachability_matches_union_find(g):
                 kind = "bridge-on-path" if apart else "bridge-off-path"
                 assert g.bridge_kind(ed.id, s, t) == (kind if bridge else "non-bridge")
     assert g.bridges() == bridges
+
+
+def _id_order(x):
+    """The documented order of vertex and edge ids: by text, then type name."""
+    return str(x), type(x).__name__
+
+
+@settings(SETTINGS, max_examples=200)
+@given(g=any_graphs(LENGTHS))
+def test_cached_graph_facts_match_fresh_answers(g):
+    """The kept order, connectivity and bridge answers equal a fresh sort and
+    a fresh union-find, on the first call and on the second; the integer
+    Laplacian equals, and hashes like, the one assembled in Fractions."""
+    ids = sorted({e for v in g.vertices() for e in g.incident(v)}, key=_id_order)
+    root = _classes(g)
+    for _ in range(2):
+        assert g.sorted_vertices() == sorted(g.vertices(), key=_id_order)
+        assert g.edge_ids() == ids
+        assert g.edges() == [g.edge(e) for e in ids]
+        assert g.is_connected() == (len(set(root.values())) == 1)
+        for ed in g.edges():
+            cut = _classes(g, ed.id)
+            assert g.is_bridge(ed.id) == (cut[ed.u] != cut[ed.v])
+    if g.is_connected():
+        lap = resistnet.laplacian(g)
+        oracle = Matrix(g.laplacian_rows(lambda e: 1 / e.length))
+        assert lap == oracle and hash(lap) == hash(oracle)
 
 
 @st.composite

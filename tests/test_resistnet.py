@@ -92,6 +92,20 @@ def test_laplacian_four_terminal_shape():
         laplacian(Multigraph(["a", "b"], []))
 
 
+def test_network_walks_its_graph_once(monkeypatch):
+    walks = []
+    reach = Multigraph._reach
+
+    def counted(self, *args):
+        walks.append(args)
+        return reach(self, *args)
+
+    monkeypatch.setattr(Multigraph, "_reach", counted)
+    net = Network(cycle_graph(4))
+    assert net.resistance("v1", "v3") == 1
+    assert len(walks) == 1
+
+
 def test_pseudo_inverse_path2():
     lp = pseudo_inverse(Matrix([[1, -1], [-1, 1]]))
     quarter = Fraction(1, 4)
