@@ -137,8 +137,8 @@ MUTANTS = [
     (
         "laplacian-unit-denominator",
         "resistnet.py",
-        "return Matrix.from_integer_rows(rows, d)",
-        "return Matrix.from_integer_rows(rows, 1)",
+        "= Matrix.from_integer_rows(rows, d)",
+        "= Matrix.from_integer_rows(rows, 1)",
     ),
     (
         "query-numerator",
@@ -237,6 +237,30 @@ MUTANTS = [
         "graph.py",
         "return memo[e]",
         "return memo[next(iter(memo))]",
+    ),
+    (
+        "bridge-lowlink-at-equal",
+        "graph.py",
+        "bridge[via] = low[w] > disc[p]",
+        "bridge[via] = low[w] >= disc[p]",
+    ),
+    (
+        "connected-across-bridge",
+        "graph.py",
+        "self._bridge is not None and not self._bridge[e]",
+        "self._bridge is not None",
+    ),
+    (
+        "identify-kept-any-partition",
+        "graph.py",
+        "kept = self._identified.get(key)",
+        "kept = next(iter(self._identified.values()), None)",
+    ),
+    (
+        "cut-graph-kept-without-edge",
+        "resistnet.py",
+        "cut = self._cut_graphs.get(e)",
+        "cut = next(iter(self._cut_graphs.values()), None)",
     ),
     (
         "reach-crosses-avoided-edge",

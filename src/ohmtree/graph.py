@@ -11,14 +11,27 @@ identifications compose: merging {a,b} and then {ab,c} yields the same vertex
 id as merging {a,b,c} directly.
 
 A graph never changes, so it computes its sorted vertex and edge order, its
-connectivity and each edge's bridge answer once, on first use, and keeps them.
+incidence lists, its connectivity and every edge's bridge answer (one
+lowlink pass, Tarjan 1974) once, on first use, and keeps them; ``resistnet``
+keeps its integer Laplacian on it the same way.  ``identify`` keeps each
+result per partition and hands out a fresh copy of the rename map.
+
+A surgery builds its result from the parent's already checked parts,
+without re-running the constructor's checks.  The result inherits the
+parent's edge order, filtered or renamed, and its vertex order when the
+vertex set is unchanged or only loses the deleted vertex.  It inherits
+connectivity where the surgery preserves it: identifying in a connected
+graph, re-lengthening, deleting a self-loop or a known non-bridge, or
+deleting from a disconnected graph.  Re-lengthening also keeps the
+incidence lists and the bridge answers.  A graph keeps no G - e: the
+deletion-contraction recursion would then hold its whole tree through the
+caller's graph.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
 from hashlib import sha256
 from typing import Callable, Dict, Hashable, Iterable, List, NamedTuple, Set, Tuple
 
@@ -144,15 +157,30 @@ class Multigraph:
             if e.length.numerator <= 0:
                 raise GraphError(f"edge {e.id!r} has non-positive length")
             es[e.id] = e
-        self._vertices = frozenset(vs)
-        self._edges = es
-        incident: Dict[VertexId, List[EdgeId]] = {v: [] for v in vs}
-        for e in es.values():
-            incident[e.u].append(e.id)
-            if e.v != e.u:
-                incident[e.v].append(e.id)
+        self._adopt(frozenset(vs), es)
+
+    @classmethod
+    def _derive(cls, vertices: frozenset, edges: Dict[EdgeId, Edge], **facts):
+        """A graph of parts a parent graph has already checked, with the
+        facts the surgery preserves; ``__init__``'s checks do not run."""
+        g = cls.__new__(cls)
+        g._adopt(vertices, edges, **facts)
+        return g
+
+    def _adopt(
+        self, vertices, edges, vorder=None, eorder=None, incident=None,
+        connected=None, bridge=None,
+    ) -> None:
+        # None marks a fact not yet computed; each is filled on first use.
+        self._vertices = vertices
+        self._edges = edges
+        self._vorder = vorder
+        self._eorder = eorder
         self._incident = incident
-        self._bridge: Dict[EdgeId, bool] = {}
+        self._connected = connected
+        self._bridge = bridge
+        self._identified: Dict[frozenset, tuple] = {}
+        self._laplacian = None
 
     @classmethod
     def from_edges(
@@ -181,19 +209,34 @@ class Multigraph:
     def vertices(self) -> frozenset:
         return self._vertices
 
-    @cached_property
-    def _order(self) -> tuple:
-        edges = sorted(self._edges.values(), key=lambda e: _vkey(e.id))
-        return sorted(self._vertices, key=_vkey), edges
+    def _vertex_order(self) -> tuple:
+        if self._vorder is None:
+            self._vorder = tuple(sorted(self._vertices, key=_vkey))
+        return self._vorder
+
+    def _edge_order(self) -> tuple:
+        if self._eorder is None:
+            self._eorder = tuple(sorted(self._edges.values(), key=lambda e: _vkey(e.id)))
+        return self._eorder
+
+    def _incidence(self) -> Dict[VertexId, List[EdgeId]]:
+        if self._incident is None:
+            incident: Dict[VertexId, List[EdgeId]] = {v: [] for v in self._vertices}
+            for e in self._edges.values():
+                incident[e.u].append(e.id)
+                if e.v != e.u:
+                    incident[e.v].append(e.id)
+            self._incident = incident
+        return self._incident
 
     def sorted_vertices(self) -> list:
-        return list(self._order[0])
+        return list(self._vertex_order())
 
     def edges(self) -> List[Edge]:
-        return list(self._order[1])
+        return list(self._edge_order())
 
     def edge_ids(self) -> list:
-        return [e.id for e in self._order[1]]
+        return [e.id for e in self._edge_order()]
 
     def edge(self, e: EdgeId) -> Edge:
         try:
@@ -216,17 +259,18 @@ class Multigraph:
 
     def incident(self, v: VertexId) -> List[EdgeId]:
         self._require_vertex(v)
-        return list(self._incident[v])
+        return list(self._incidence()[v])
 
     def edges_between(self, u: VertexId, v: VertexId) -> List[EdgeId]:
         """Edge ids joining u and v; with u == v, the self-loops at u."""
         self._require_vertex(u)
         self._require_vertex(v)
+        incident = self._incidence()[u]
         if u == v:
-            return [e for e in self._incident[u] if self._edges[e].is_loop()]
+            return [e for e in incident if self._edges[e].is_loop()]
         return [
             e
-            for e in self._incident[u]
+            for e in incident
             if not self._edges[e].is_loop() and self._edges[e].other_end(u) == v
         ]
 
@@ -234,7 +278,7 @@ class Multigraph:
         """Neighbors and parallel-edge counts; self-loops are excluded."""
         self._require_vertex(v)
         counts: Counter = Counter()
-        for eid in self._incident[v]:
+        for eid in self._incidence()[v]:
             e = self._edges[eid]
             if not e.is_loop():
                 counts[e.other_end(v)] += 1
@@ -253,11 +297,12 @@ class Multigraph:
     def _reach(self, start: VertexId, avoid_edge: EdgeId = None) -> Set[VertexId]:
         """Vertices reached from ``start`` by walks that never cross
         ``avoid_edge``."""
+        incident = self._incidence()
         seen = {start}
         stack = [start]
         while stack:
             w = stack.pop()
-            for eid in self._incident[w]:
+            for eid in incident[w]:
                 if eid != avoid_edge:
                     o = self._edges[eid].other_end(w)
                     if o not in seen:
@@ -274,19 +319,55 @@ class Multigraph:
             comps.append(comp)
         return comps
 
-    @cached_property
-    def _connected(self) -> bool:
-        return self.n <= 1 or len(self._reach(next(iter(self._vertices)))) == self.n
-
     def is_connected(self) -> bool:
+        if self._connected is None:
+            self._connected = (
+                self.n <= 1 or len(self._reach(next(iter(self._vertices)))) == self.n
+            )
         return self._connected
 
     def is_bridge(self, e: EdgeId) -> bool:
         """True iff deleting the edge disconnects its endpoints."""
+        self.edge(e)
         memo = self._bridge
-        if e not in memo:
-            memo[e] = self.separates(e, *self.endpoints(e))
+        if memo is None:
+            memo = self._bridge = self._lowlink_bridges()
         return memo[e]
+
+    def _lowlink_bridges(self) -> Dict[EdgeId, bool]:
+        """Every edge's bridge answer from one depth-first pass per component
+        (Tarjan, Inf. Proc. Lett. 1974).  ``low[w]`` is the least discovery
+        index reachable from w's subtree by one edge other than the tree edge
+        into w; the tree edge (p, w) is a bridge iff low[w] > disc[p].  The
+        walk skips that tree edge by id, so a parallel edge counts as a
+        back edge, and a self-loop never lowers anything."""
+        incident, edges = self._incidence(), self._edges
+        bridge = dict.fromkeys(edges, False)
+        disc: Dict[VertexId, int] = {}
+        low: Dict[VertexId, int] = {}
+        for root in self._vertices:
+            if root in disc:
+                continue
+            disc[root] = low[root] = len(disc)
+            stack = [(root, None, iter(incident[root]))]
+            while stack:
+                w, via, rest = stack[-1]
+                for eid in rest:
+                    if eid == via:
+                        continue
+                    o = edges[eid].other_end(w)
+                    if o not in disc:
+                        disc[o] = low[o] = len(disc)
+                        stack.append((o, eid, iter(incident[o])))
+                        break
+                    low[w] = min(low[w], disc[o])
+                else:
+                    stack.pop()
+                    if stack:
+                        p = stack[-1][0]
+                        low[p] = min(low[p], low[w])
+                        bridge[via] = low[w] > disc[p]
+        return bridge
 
     def bridges(self) -> list:
         return [e for e in self.edge_ids() if self.is_bridge(e)]
@@ -311,11 +392,10 @@ class Multigraph:
         """Laplacian rows in sorted vertex order: off-diagonal -(sum of
         ``conductance(edge)`` over the joining edges), diagonal chosen so
         rows sum to zero.  Self-loops contribute nothing."""
-        vertices, edges = self._order
-        idx = {v: i for i, v in enumerate(vertices)}
+        idx = {v: i for i, v in enumerate(self._vertex_order())}
         n = len(idx)
         rows = [[0] * n for _ in range(n)]
-        for e in edges:
+        for e in self._edge_order():
             if e.is_loop():
                 continue
             c = conductance(e)
@@ -329,25 +409,41 @@ class Multigraph:
     # -- surgery ---------------------------------------------------------
 
     def delete_edge(self, e: EdgeId) -> "Multigraph":
-        self.edge(e)
-        return Multigraph(
-            self._vertices, (ed for ed in self._edges.values() if ed.id != e)
+        ed = self.edge(e)
+        # no deletion connects a graph, and deleting a self-loop or a known
+        # non-bridge disconnects none
+        keeps = ed.is_loop() or self._connected is False or (
+            self._bridge is not None and not self._bridge[e]
+        )
+        return self._derive(
+            self._vertices,
+            {k: x for k, x in self._edges.items() if k != e},
+            vorder=self._vertex_order(),
+            eorder=tuple(x for x in self._edge_order() if x.id != e),
+            connected=self._connected if keeps else None,
         )
 
     def delete_edges(self, ids: Iterable[EdgeId]) -> "Multigraph":
         drop = set(ids)
         for e in drop:
             self.edge(e)
-        return Multigraph(
-            self._vertices, (ed for ed in self._edges.values() if ed.id not in drop)
+        loops_only = all(self._edges[e].is_loop() for e in drop)
+        return self._derive(
+            self._vertices,
+            {k: x for k, x in self._edges.items() if k not in drop},
+            vorder=self._vertex_order(),
+            eorder=tuple(x for x in self._edge_order() if x.id not in drop),
+            connected=self._connected if loops_only else None,
         )
 
     def delete_vertex(self, v: VertexId) -> "Multigraph":
         """Remove the vertex and every edge incident to it."""
         self._require_vertex(v)
-        return Multigraph(
+        return self._derive(
             self._vertices - {v},
-            (ed for ed in self._edges.values() if v not in (ed.u, ed.v)),
+            {k: x for k, x in self._edges.items() if v not in (x.u, x.v)},
+            vorder=tuple(x for x in self._vertex_order() if x != v),
+            eorder=tuple(x for x in self._edge_order() if v not in (x.u, x.v)),
         )
 
     def with_length(self, e: EdgeId, length) -> "Multigraph":
@@ -356,15 +452,25 @@ class Multigraph:
         new_len = rational(length)
         if new_len <= 0:
             raise GraphError(f"edge length must be positive, got {new_len}")
-        return Multigraph(
-            self._vertices,
-            (x if x.id != e else ed._replace(length=new_len) for x in self._edges.values()),
-        )
+        new = ed._replace(length=new_len)
+        return self._relengthened(lambda x: new if x.id == e else x)
 
     def with_unit_lengths(self) -> "Multigraph":
-        return Multigraph(
+        one = Fraction(1)
+        return self._relengthened(lambda x: x._replace(length=one))
+
+    def _relengthened(self, edge_map: Callable[[Edge], Edge]) -> "Multigraph":
+        """The graph with each edge replaced by ``edge_map(edge)``, which
+        changes only lengths, so every fact but the Laplacian carries over."""
+        edges = {k: edge_map(x) for k, x in self._edges.items()}
+        return self._derive(
             self._vertices,
-            (ed._replace(length=Fraction(1)) for ed in self._edges.values()),
+            edges,
+            vorder=self._vertex_order(),
+            eorder=tuple(edges[x.id] for x in self._edge_order()),
+            incident=self._incident,
+            connected=self._connected,
+            bridge=self._bridge,
         )
 
     def identify(
@@ -374,24 +480,39 @@ class Multigraph:
 
         Edges with both endpoints in one group become self-loops; the edge
         multiset is otherwise preserved.  Returns the new graph and a rename
-        map defined on every vertex of the original graph.
+        map defined on every vertex of the original graph.  The result is
+        kept per partition (singleton groups dropped), and every call
+        returns its own copy of the rename map.
         """
         if not isinstance(partition, VertexPartition):
             partition = VertexPartition(partition)
-        renames: Dict[VertexId, VertexId] = {v: v for v in self._vertices}
         for group in partition:
             for v in group:
                 self._require_vertex(v)
-            if len(set(group)) < 2:
-                continue  # singleton group is a no-op
+        key = frozenset(g for g in map(frozenset, partition) if len(g) > 1)
+        kept = self._identified.get(key)
+        if kept is None:
+            kept = self._identified[key] = self._identified_by(key)
+        graph, renames = kept
+        return graph, dict(renames)
+
+    def _identified_by(self, groups: frozenset) -> tuple:
+        renames: Dict[VertexId, VertexId] = {v: v for v in self._vertices}
+        for group in groups:
             merged = MergedVertex(group)
             for v in group:
                 renames[v] = merged
-        new_edges = (
-            Edge(ed.id, renames[ed.u], renames[ed.v], ed.length)
-            for ed in self._edges.values()
+        edges = {
+            k: Edge(k, renames[x.u], renames[x.v], x.length)
+            for k, x in self._edges.items()
+        }
+        graph = self._derive(
+            frozenset(renames.values()),
+            edges,
+            eorder=tuple(edges[x.id] for x in self._edge_order()),
+            connected=True if self._connected else None,
         )
-        return Multigraph(set(renames.values()), new_edges), renames
+        return graph, renames
 
     def contract_edge(
         self, e: EdgeId
@@ -402,10 +523,16 @@ class Multigraph:
         a self-loop is defined as deleting it.
         """
         ed = self.edge(e)
+        return self.delete_edge(e)._identify_ends(ed)
+
+    def _identify_ends(
+        self, ed: Edge
+    ) -> Tuple["Multigraph", Dict[VertexId, VertexId]]:
+        """This graph, which is G - ed, with ed's ends identified: the
+        contraction G / ed.  For a self-loop that is this graph itself."""
         if ed.is_loop():
-            g = self.delete_edge(e)
-            return g, {v: v for v in self._vertices}
-        return self.delete_edge(e).identify([(ed.u, ed.v)])
+            return self, {v: v for v in self._vertices}
+        return self.identify([(ed.u, ed.v)])
 
     # -- hashing / serialization -----------------------------------------
 
@@ -426,7 +553,7 @@ class Multigraph:
         )
 
     def __hash__(self):
-        return hash((self._vertices, tuple(e.id for e in self._order[1])))
+        return hash((self._vertices, tuple(e.id for e in self._edge_order())))
 
     def __repr__(self) -> str:
         return f"Multigraph(n={self.n}, m={self.m}, hash={self.graph_hash()})"

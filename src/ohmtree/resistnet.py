@@ -16,13 +16,18 @@ way and inverts it by Gauss-Jordan elimination on floats
 Derived quantities for a surgered graph (vertices identified, an edge deleted
 or contracted, a length changed) are always computed by building the surgered
 network and re-deriving its pseudo-inverse, never by trusting the identity
-under test.
+under test.  What is reused is only what does not depend on the law: a graph
+keeps its integer Laplacian once assembled, and its identifications; a
+:class:`Network` keeps each G - e it derives, so ``deleted(e)`` and
+``contracted(e)`` build no graph twice.  Every ``shorted``, ``deleted`` and
+``contracted`` call still returns a fresh ``Network``, which inverts its own
+Laplacian when first queried.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from math import lcm
 from typing import Dict, List, NamedTuple, Tuple
 
@@ -39,12 +44,16 @@ from .graph import (
 
 def laplacian(graph: Multigraph) -> Matrix:
     """Discrete Laplacian, conductance 1/L per edge, in sorted vertex order:
-    integer rows of D / L over D, the lcm of the non-loop L's numerators."""
-    if not graph.is_connected():
-        raise DisconnectedError("laplacian of a disconnected graph")
-    d = lcm(*(e.length.numerator for e in graph.edges() if not e.is_loop()))
-    rows = graph.laplacian_rows(lambda e: d // e.length.numerator * e.length.denominator)
-    return Matrix.from_integer_rows(rows, d)
+    integer rows of D / L over D, the lcm of the non-loop L's numerators.
+    Assembled once per graph and kept on it."""
+    lap = graph._laplacian
+    if lap is None:
+        if not graph.is_connected():
+            raise DisconnectedError("laplacian of a disconnected graph")
+        d = lcm(*(e.length.numerator for e in graph.edges() if not e.is_loop()))
+        rows = graph.laplacian_rows(lambda e: d // e.length.numerator * e.length.denominator)
+        lap = graph._laplacian = Matrix.from_integer_rows(rows, d)
+    return lap
 
 
 def pseudo_inverse(lap: Matrix) -> Matrix:
@@ -69,26 +78,31 @@ def pseudo_inverse(lap: Matrix) -> Matrix:
 
 
 class Network:
-    """A connected multigraph with cached Laplacian and pseudo-inverse."""
+    """A connected multigraph with its pseudo-inverse, computed on first use
+    and kept, and the G - e graphs it derives.  The Laplacian is the one its
+    graph keeps."""
 
     def __init__(self, graph: Multigraph):
         if not graph.is_connected():
             raise DisconnectedError("network graph must be connected")
         self.graph = graph
+        self._index = None
+        self._pseudo_inverse = None
+        self._cut_graphs: Dict[EdgeId, Multigraph] = {}
 
-    @cached_property
-    def _index(self) -> Dict[VertexId, int]:
-        return {v: i for i, v in enumerate(self.graph.sorted_vertices())}
-
-    @cached_property
+    @property
     def laplacian(self) -> Matrix:
         return laplacian(self.graph)
 
-    @cached_property
+    @property
     def pseudo_inverse(self) -> Matrix:
-        return pseudo_inverse(self.laplacian)
+        if self._pseudo_inverse is None:
+            self._pseudo_inverse = pseudo_inverse(self.laplacian)
+        return self._pseudo_inverse
 
     def _i(self, v: VertexId) -> int:
+        if self._index is None:
+            self._index = {w: i for i, w in enumerate(self.graph.sorted_vertices())}
         try:
             return self._index[v]
         except KeyError:
@@ -116,13 +130,20 @@ class Network:
         g, renames = self.graph.identify([(p, q)])
         return Network(g), renames
 
+    def _cut_graph(self, e: EdgeId) -> Multigraph:
+        cut = self._cut_graphs.get(e)
+        if cut is None:
+            cut = self._cut_graphs[e] = self.graph.delete_edge(e)
+        return cut
+
     def deleted(self, e: EdgeId) -> "Network":
         """Network with the edge's interior removed (raises if that
         disconnects the graph)."""
-        return Network(self.graph.delete_edge(e))
+        return Network(self._cut_graph(e))
 
     def contracted(self, e: EdgeId) -> Tuple["Network", Dict]:
-        g, renames = self.graph.contract_edge(e)
+        """Network with the edge contracted, plus the vertex rename map."""
+        g, renames = self._cut_graph(e)._identify_ends(self.graph.edge(e))
         return Network(g), renames
 
 

@@ -1,9 +1,11 @@
 """Property tests: the exact laws hold with a residual of literal zero on
 every small connected multigraph Hypothesis generates, the reachability
 queries and the order, connectivity and bridge answers a graph keeps agree
-with a fresh sort and a union-find oracle on any small multigraph, an exact
-``Matrix`` is canonical whatever form its entries are written in, and a
-failure shrinks to the smallest counterexample graph."""
+with a fresh sort and a union-find oracle on any small multigraph, a
+surgered graph and the facts it inherits equal a graph built afresh from
+its vertices and edges, an exact ``Matrix`` is canonical whatever form its
+entries are written in, and a failure shrinks to the smallest
+counterexample graph."""
 
 from fractions import Fraction
 from itertools import chain
@@ -16,7 +18,7 @@ from test_exactnum import cofactor_det
 
 from ohmtree import resistnet, spantree
 from ohmtree.exactnum import Matrix, SingularMatrixError, invert_rows
-from ohmtree.graph import Multigraph
+from ohmtree.graph import MergedVertex, Multigraph
 from ohmtree.resistnet import Network
 
 LENGTHS = st.builds(Fraction, st.integers(1, 4), st.integers(1, 4))
@@ -184,6 +186,77 @@ def test_cached_graph_facts_match_fresh_answers(g):
         lap = resistnet.laplacian(g)
         oracle = Matrix(g.laplacian_rows(lambda e: 1 / e.length))
         assert lap == oracle and hash(lap) == hash(oracle)
+
+
+def _facts(g):
+    """Every fact a graph keeps, read through the public calls."""
+    facts = (
+        g.sorted_vertices(),
+        g.edges(),
+        g.is_connected(),
+        g.bridges(),
+        {v: sorted(g.incident(v), key=_id_order) for v in g.vertices()},
+    )
+    return facts + ((resistnet.laplacian(g),) if g.is_connected() else ())
+
+
+def _matches_fresh_build(child):
+    fresh = Multigraph(child.vertices(), child.edges())
+    assert child == fresh and hash(child) == hash(fresh)
+    for _ in range(2):  # the answer computed or inherited, then the kept one
+        assert _facts(child) == _facts(fresh)
+
+
+@settings(SETTINGS, max_examples=150)
+@given(g=any_graphs(LENGTHS), data=st.data())
+def test_surgered_graphs_match_fresh_builds(g, data):
+    """Every surgery, on a parent that has or has not computed its own facts,
+    gives on the first call and on the second (kept) call a graph equal to
+    ``Multigraph(child.vertices(), child.edges())``, with the same order,
+    connectivity, bridges, incidences and Laplacian; rename maps are equal
+    across calls but never shared."""
+    draw = data.draw
+    verts = sorted(g.vertices(), key=_id_order)
+    ids = [f"e{k}" for k in range(g.m)]  # the ids any_graphs gives
+    labels = st.lists(st.integers(0, 3), min_size=len(verts), max_size=len(verts))
+
+    def partition(marks):
+        # vertices marked k > 0 form group k; singleton groups occur
+        return [[v for v, m in zip(verts, marks) if m == k] for k in set(marks) - {0}]
+
+    groups = [partition(draw(labels)) for _ in range(2)]
+    v = draw(st.sampled_from(verts))
+    if draw(st.booleans()):
+        _facts(g)
+    surgeries = [
+        lambda: g.identify(groups[0]),
+        lambda: g.identify(groups[1]),
+        lambda: (g.with_unit_lengths(), None),
+        lambda: (g.delete_vertex(v), None),
+    ]
+    if ids:
+        e, length = draw(st.sampled_from(ids)), draw(LENGTHS)
+        drop = draw(st.sets(st.sampled_from(ids)))
+        loops = [x.id for x in g.edges() if x.is_loop()]
+        surgeries += [
+            lambda: (g.delete_edges(drop), None),
+            lambda: (g.delete_edges(loops), None),
+            lambda: (g.with_length(e, length), None),
+        ]
+        for x in ids:
+            surgeries += [lambda x=x: (g.delete_edge(x), None), lambda x=x: g.contract_edge(x)]
+    for surgery in surgeries:
+        (first, renames), (again, renames_again) = surgery(), surgery()
+        _matches_fresh_build(first)
+        _matches_fresh_build(again)
+        if renames is not None:
+            assert renames_again == renames and renames_again is not renames
+    for part in groups:
+        renames = g.identify(part)[1]
+        renames.clear()
+        assert g.identify(part)[1] == {x: x for x in g.vertices()} | {
+            x: MergedVertex(group) for group in part if len(group) > 1 for x in group
+        }
 
 
 @st.composite

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,7 +37,11 @@ from ohmtree.resistnet import (
     voltage_transfer_cutting,
     voltage_transfer_shorting,
 )
-from ohmtree.spantree import identified_count
+from ohmtree.spantree import (
+    count_deletion_contraction,
+    count_matrix_tree,
+    identified_count,
+)
 from ohmtree.verify import GraphGenSpec, generate
 
 
@@ -104,6 +109,37 @@ def test_network_walks_its_graph_once(monkeypatch):
     net = Network(cycle_graph(4))
     assert net.resistance("v1", "v3") == 1
     assert len(walks) == 1
+
+
+def test_repeated_laws_invert_and_count_again(monkeypatch):
+    """Graphs, Laplacians and identifications are kept, eliminations are
+    not: each repeat of a law inverts or counts once more, and
+    deletion-contraction leaves its input keeping no derived graph."""
+    calls = Counter()
+    for name in ("inverse", "det"):
+        def counted(self, _name=name, _run=getattr(Matrix, name)):
+            calls[_name] += 1
+            return _run(self)
+
+        monkeypatch.setattr(Matrix, name, counted)
+    g = Multigraph.from_edges(
+        [("a", "b"), ("b", "c", 2), ("c", "d"), ("d", "a", 3), ("a", "c"), ("b", "d")]
+    )
+    net = Network(g)
+    net.pseudo_inverse  # the network inverts once, on first use
+    laws = (
+        (lambda: voltage_transfer_shorting(net, "a", "b", "c", "d", "a"), "inverse"),
+        (lambda: cutting_delta(net, "e5", "b", "d"), "inverse"),
+        (lambda: identified_count(g, ("a", "c"), ("b", "d")), "det"),
+    )
+    for law, kernel in laws:
+        before = calls[kernel]
+        for k in range(1, 4):
+            law()
+            assert calls[kernel] == before + k
+    fresh = Multigraph(g.vertices(), g.edges())
+    assert count_deletion_contraction(fresh) == count_matrix_tree(fresh)
+    assert fresh._identified == {}
 
 
 def test_pseudo_inverse_path2():
