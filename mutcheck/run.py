@@ -137,8 +137,8 @@ MUTANTS = [
     (
         "laplacian-unit-denominator",
         "resistnet.py",
-        "= Matrix.from_integer_rows(rows, d)",
-        "= Matrix.from_integer_rows(rows, 1)",
+        "return Matrix.from_integer_rows(rows, d)",
+        "return Matrix.from_integer_rows(rows, 1)",
     ),
     (
         "query-numerator",
@@ -245,22 +245,22 @@ MUTANTS = [
         "bridge[via] = low[w] >= disc[p]",
     ),
     (
-        "connected-across-bridge",
-        "graph.py",
-        "self._bridge is not None and not self._bridge[e]",
-        "self._bridge is not None",
-    ),
-    (
         "identify-kept-any-partition",
         "graph.py",
-        "kept = self._identified.get(key)",
-        "kept = next(iter(self._identified.values()), None)",
+        "kept = memo.pop(key, None)",
+        "kept = memo.pop(next(iter(memo), None), None)",
+    ),
+    (
+        "identify-keeps-every-result",
+        "graph.py",
+        "if len(memo) == KEPT_IDENTIFICATIONS:",
+        "if False:",
     ),
     (
         "cut-graph-kept-without-edge",
         "resistnet.py",
-        "cut = self._cut_graphs.get(e)",
-        "cut = next(iter(self._cut_graphs.values()), None)",
+        "if self._cut is None or self._cut[0] != e:",
+        "if self._cut is None:",
     ),
     (
         "reach-crosses-avoided-edge",

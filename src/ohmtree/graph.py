@@ -12,18 +12,18 @@ id as merging {a,b,c} directly.
 
 A graph never changes, so it computes its sorted vertex and edge order, its
 incidence lists, its connectivity and every edge's bridge answer (one
-lowlink pass, Tarjan 1974) once, on first use, and keeps them; ``resistnet``
-keeps its integer Laplacian on it the same way.  ``identify`` keeps each
-result per partition and hands out a fresh copy of the rename map.
+lowlink pass, Tarjan 1974) once, on first use, and keeps them.
+:meth:`Multigraph.keep` keeps any other answer computed from the graph
+alone; ``resistnet`` keeps its integer Laplacian there.  ``identify`` keeps
+its last ``KEPT_IDENTIFICATIONS`` results, one per partition, and hands out
+a fresh copy of the rename map.
 
 A surgery builds its result from the parent's already checked parts,
 without re-running the constructor's checks.  The result inherits the
 parent's edge order, filtered or renamed, and its vertex order when the
-vertex set is unchanged or only loses the deleted vertex.  It inherits
-connectivity where the surgery preserves it: identifying in a connected
-graph, re-lengthening, deleting a self-loop or a known non-bridge, or
-deleting from a disconnected graph.  Re-lengthening also keeps the
-incidence lists and the bridge answers.  A graph keeps no G - e: the
+vertex set is unchanged or only loses the deleted vertex.  Re-lengthening
+changes only lengths, so it also keeps the incidence lists, the
+connectivity and the bridge answers.  A graph keeps no G - e: the
 deletion-contraction recursion would then hold its whole tree through the
 caller's graph.
 """
@@ -39,6 +39,11 @@ from .exactnum import rational
 
 VertexId = Hashable
 EdgeId = Hashable
+
+# How many identify results a graph keeps.  On the exhaustive verify suite
+# (n = 4) eight hit as often as keeping every result did; the bound caps what
+# a long-lived graph holds, since each kept result may carry its Laplacian.
+KEPT_IDENTIFICATIONS = 8
 
 
 class GraphError(ValueError):
@@ -179,8 +184,8 @@ class Multigraph:
         self._incident = incident
         self._connected = connected
         self._bridge = bridge
-        self._identified: Dict[frozenset, tuple] = {}
-        self._laplacian = None
+        self._identified: Dict[frozenset, tuple] = {}  # oldest use first
+        self._kept: dict = {}
 
     @classmethod
     def from_edges(
@@ -406,34 +411,35 @@ class Multigraph:
             rows[j][j] += c
         return rows
 
+    def keep(self, compute: Callable[["Multigraph"], object]):
+        """``compute(self)``, computed on the first call with this
+        ``compute`` and kept for every later one; ``compute`` must depend on
+        the graph alone.  Nothing is kept when it raises."""
+        kept = self._kept
+        if compute not in kept:
+            kept[compute] = compute(self)
+        return kept[compute]
+
     # -- surgery ---------------------------------------------------------
 
     def delete_edge(self, e: EdgeId) -> "Multigraph":
-        ed = self.edge(e)
-        # no deletion connects a graph, and deleting a self-loop or a known
-        # non-bridge disconnects none
-        keeps = ed.is_loop() or self._connected is False or (
-            self._bridge is not None and not self._bridge[e]
-        )
+        self.edge(e)
         return self._derive(
             self._vertices,
             {k: x for k, x in self._edges.items() if k != e},
             vorder=self._vertex_order(),
             eorder=tuple(x for x in self._edge_order() if x.id != e),
-            connected=self._connected if keeps else None,
         )
 
     def delete_edges(self, ids: Iterable[EdgeId]) -> "Multigraph":
         drop = set(ids)
         for e in drop:
             self.edge(e)
-        loops_only = all(self._edges[e].is_loop() for e in drop)
         return self._derive(
             self._vertices,
             {k: x for k, x in self._edges.items() if k not in drop},
             vorder=self._vertex_order(),
             eorder=tuple(x for x in self._edge_order() if x.id not in drop),
-            connected=self._connected if loops_only else None,
         )
 
     def delete_vertex(self, v: VertexId) -> "Multigraph":
@@ -480,9 +486,10 @@ class Multigraph:
 
         Edges with both endpoints in one group become self-loops; the edge
         multiset is otherwise preserved.  Returns the new graph and a rename
-        map defined on every vertex of the original graph.  The result is
-        kept per partition (singleton groups dropped), and every call
-        returns its own copy of the rename map.
+        map defined on every vertex of the original graph.  The last
+        ``KEPT_IDENTIFICATIONS`` results are kept, one per partition with
+        singleton groups dropped, and every call returns its own copy of
+        the rename map.
         """
         if not isinstance(partition, VertexPartition):
             partition = VertexPartition(partition)
@@ -490,9 +497,13 @@ class Multigraph:
             for v in group:
                 self._require_vertex(v)
         key = frozenset(g for g in map(frozenset, partition) if len(g) > 1)
-        kept = self._identified.get(key)
+        memo = self._identified
+        kept = memo.pop(key, None)
         if kept is None:
-            kept = self._identified[key] = self._identified_by(key)
+            kept = self._identified_by(key)
+            if len(memo) == KEPT_IDENTIFICATIONS:
+                del memo[next(iter(memo))]
+        memo[key] = kept
         graph, renames = kept
         return graph, dict(renames)
 
@@ -510,7 +521,6 @@ class Multigraph:
             frozenset(renames.values()),
             edges,
             eorder=tuple(edges[x.id] for x in self._edge_order()),
-            connected=True if self._connected else None,
         )
         return graph, renames
 

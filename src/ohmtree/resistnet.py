@@ -17,11 +17,11 @@ Derived quantities for a surgered graph (vertices identified, an edge deleted
 or contracted, a length changed) are always computed by building the surgered
 network and re-deriving its pseudo-inverse, never by trusting the identity
 under test.  What is reused is only what does not depend on the law: a graph
-keeps its integer Laplacian once assembled, and its identifications; a
-:class:`Network` keeps each G - e it derives, so ``deleted(e)`` and
-``contracted(e)`` build no graph twice.  Every ``shorted``, ``deleted`` and
-``contracted`` call still returns a fresh ``Network``, which inverts its own
-Laplacian when first queried.
+keeps its integer Laplacian once assembled (``Multigraph.keep``) and its last
+few identifications; a :class:`Network` keeps the last G - e it derived, so
+``deleted(e)`` and ``contracted(e)`` of one edge build it once.  Every
+``shorted``, ``deleted`` and ``contracted`` call still returns a fresh
+``Network``, which inverts its own Laplacian when first queried.
 """
 
 from __future__ import annotations
@@ -45,15 +45,16 @@ from .graph import (
 def laplacian(graph: Multigraph) -> Matrix:
     """Discrete Laplacian, conductance 1/L per edge, in sorted vertex order:
     integer rows of D / L over D, the lcm of the non-loop L's numerators.
-    Assembled once per graph and kept on it."""
-    lap = graph._laplacian
-    if lap is None:
-        if not graph.is_connected():
-            raise DisconnectedError("laplacian of a disconnected graph")
-        d = lcm(*(e.length.numerator for e in graph.edges() if not e.is_loop()))
-        rows = graph.laplacian_rows(lambda e: d // e.length.numerator * e.length.denominator)
-        lap = graph._laplacian = Matrix.from_integer_rows(rows, d)
-    return lap
+    Assembled once per graph and kept with it."""
+    return graph.keep(_assemble_laplacian)
+
+
+def _assemble_laplacian(graph: Multigraph) -> Matrix:
+    if not graph.is_connected():
+        raise DisconnectedError("laplacian of a disconnected graph")
+    d = lcm(*(e.length.numerator for e in graph.edges() if not e.is_loop()))
+    rows = graph.laplacian_rows(lambda e: d // e.length.numerator * e.length.denominator)
+    return Matrix.from_integer_rows(rows, d)
 
 
 def pseudo_inverse(lap: Matrix) -> Matrix:
@@ -79,7 +80,7 @@ def pseudo_inverse(lap: Matrix) -> Matrix:
 
 class Network:
     """A connected multigraph with its pseudo-inverse, computed on first use
-    and kept, and the G - e graphs it derives.  The Laplacian is the one its
+    and kept, and the last G - e it derived.  The Laplacian is the one its
     graph keeps."""
 
     def __init__(self, graph: Multigraph):
@@ -88,7 +89,7 @@ class Network:
         self.graph = graph
         self._index = None
         self._pseudo_inverse = None
-        self._cut_graphs: Dict[EdgeId, Multigraph] = {}
+        self._cut = None  # (e, G - e) for the last edge asked about
 
     @property
     def laplacian(self) -> Matrix:
@@ -131,10 +132,11 @@ class Network:
         return Network(g), renames
 
     def _cut_graph(self, e: EdgeId) -> Multigraph:
-        cut = self._cut_graphs.get(e)
-        if cut is None:
-            cut = self._cut_graphs[e] = self.graph.delete_edge(e)
-        return cut
+        """G - e, kept for the last edge asked about: a law asks for
+        ``deleted(e)`` and ``contracted(e)`` of one edge in turn."""
+        if self._cut is None or self._cut[0] != e:
+            self._cut = (e, self.graph.delete_edge(e))
+        return self._cut[1]
 
     def deleted(self, e: EdgeId) -> "Network":
         """Network with the edge's interior removed (raises if that

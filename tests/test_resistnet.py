@@ -12,6 +12,7 @@ import ohmtree
 from ohmtree import resistnet
 from ohmtree.exactnum import Matrix
 from ohmtree.graph import (
+    KEPT_IDENTIFICATIONS,
     DisconnectedError,
     Multigraph,
     PreconditionError,
@@ -140,6 +141,30 @@ def test_repeated_laws_invert_and_count_again(monkeypatch):
     fresh = Multigraph(g.vertices(), g.edges())
     assert count_deletion_contraction(fresh) == count_matrix_tree(fresh)
     assert fresh._identified == {}
+
+
+def test_kept_graphs_are_bounded():
+    """A graph keeps only its last KEPT_IDENTIFICATIONS identifications, a
+    hit counting as a use, and a Network only the G - e of the last edge it
+    was asked about, however many it is asked for; each answer is right."""
+    g = complete_graph(7)
+    net = Network(g)
+    pairs = [(p, q) for p in g.sorted_vertices() for q in g.sorted_vertices() if p < q]
+    first, _ = g.identify([pairs[0]])
+    for p, q in pairs[1:KEPT_IDENTIFICATIONS]:
+        net.shorted(p, q)
+    assert g.identify([pairs[0]])[0] is first  # a hit, now the latest use
+    for p, q in pairs[KEPT_IDENTIFICATIONS : 2 * KEPT_IDENTIFICATIONS - 1]:
+        net.shorted(p, q)
+    assert g.identify([pairs[0]])[0] is first  # not the oldest, so still kept
+    for p, q in pairs:
+        shorted, renames = net.shorted(p, q)
+        assert shorted.graph == Multigraph(set(renames.values()), shorted.graph.edges())
+        assert renames[p] == renames[q] and len(set(renames.values())) == g.n - 1
+        assert len(g._identified) <= KEPT_IDENTIFICATIONS
+    for e in g.edge_ids():
+        assert net.deleted(e).graph == Multigraph(g.vertices(), g.delete_edge(e).edges())
+        assert net._cut[0] == e
 
 
 def test_pseudo_inverse_path2():
