@@ -263,6 +263,18 @@ MUTANTS = [
         "if self._cut is None:",
     ),
     (
+        "delete-vertex-stale-index",
+        "graph.py",
+        "{w: i for i, w in enumerate(w for w in self._index if w != v)}",
+        "self._index",
+    ),
+    (
+        "identify-unsorted-index",
+        "graph.py",
+        "_positions(set(renames.values()))",
+        "{w: i for i, w in enumerate(set(renames.values()))}",
+    ),
+    (
         "reach-crosses-avoided-edge",
         "graph.py",
         "if eid != avoid_edge:",

@@ -134,10 +134,7 @@ def cmd_spantree(args) -> int:
     elif g.n < 2 or not g.is_connected():  # vertex-del needs n >= 2, connected
         t = spantree.count_matrix_tree(g)
     else:
-        candidates = spantree.removable_vertices(g)
-        if not candidates:
-            raise PreconditionError("no removable non-cut vertex available")
-        t, _ = spantree.vertex_deletion_count(g, candidates[0])
+        t, _ = spantree.vertex_deletion_count(g, spantree.removable_vertices(g)[0])
     print(t)
     return 0
 

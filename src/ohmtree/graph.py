@@ -10,22 +10,22 @@ Vertex and edge ids are opaque hashables.  Merging produces a
 identifications compose: merging {a,b} and then {ab,c} yields the same vertex
 id as merging {a,b,c} directly.
 
-A graph never changes, so it computes its sorted vertex and edge order, its
-incidence lists, its connectivity and every edge's bridge answer (one
-lowlink pass, Tarjan 1974) once, on first use, and keeps them.
-:meth:`Multigraph.keep` keeps any other answer computed from the graph
-alone; ``resistnet`` keeps its integer Laplacian there.  ``identify`` keeps
-its last ``KEPT_IDENTIFICATIONS`` results, one per partition, and hands out
-a fresh copy of the rename map.
+A graph is stored in sorted order: a dict from each vertex to its position
+among the vertices sorted by id (:meth:`Multigraph.position`, the row of
+the vertex in every Laplacian), and a dict of its edges sorted by id.  Only
+the constructor, ``identify`` and ``delete_vertex`` sort or renumber; every
+other surgery shares its parent's vertex positions and filters or re-maps
+the parent's edges, which keeps their order, without re-running the
+constructor's checks.
 
-A surgery builds its result from the parent's already checked parts,
-without re-running the constructor's checks.  The result inherits the
-parent's edge order, filtered or renamed, and its vertex order when the
-vertex set is unchanged or only loses the deleted vertex.  Re-lengthening
-changes only lengths, so it also keeps the incidence lists, the
-connectivity and the bridge answers.  A graph keeps no G - e: the
-deletion-contraction recursion would then hold its whole tree through the
-caller's graph.
+A graph never changes, so it computes its incidence lists, its
+connectivity and every edge's bridge answer (one lowlink pass, Tarjan 1974)
+once, on first use, and keeps them.  :meth:`Multigraph.keep` keeps any
+other answer computed from the graph alone; ``resistnet`` keeps its integer
+Laplacian there.  ``identify`` keeps its last ``KEPT_IDENTIFICATIONS``
+results, one per partition, and hands out a fresh copy of the rename map.
+A graph keeps no G - e: the deletion-contraction recursion would then hold
+its whole tree through the caller's graph.
 """
 
 from __future__ import annotations
@@ -90,6 +90,11 @@ class MergedVertex(frozenset):
 def _vkey(v: VertexId):
     # Deterministic vertex ordering; type name breaks str collisions.
     return (str(v), type(v).__name__)
+
+
+def _positions(vertices: Iterable[VertexId]) -> Dict[VertexId, int]:
+    """Each vertex's position among the vertices sorted by id."""
+    return {v: i for i, v in enumerate(sorted(vertices, key=_vkey))}
 
 
 def _first_free(candidates: Iterable, taken) -> Hashable:
@@ -162,28 +167,24 @@ class Multigraph:
             if e.length.numerator <= 0:
                 raise GraphError(f"edge {e.id!r} has non-positive length")
             es[e.id] = e
-        self._adopt(frozenset(vs), es)
+        self._adopt(_positions(vs), {k: es[k] for k in sorted(es, key=_vkey)})
 
     @classmethod
-    def _derive(cls, vertices: frozenset, edges: Dict[EdgeId, Edge], **facts):
-        """A graph of parts a parent graph has already checked, with the
-        facts the surgery preserves; ``__init__``'s checks do not run."""
+    def _derive(cls, index: Dict[VertexId, int], edges: Dict[EdgeId, Edge]):
+        """A graph of a vertex index and an edge dict in sorted order, made
+        from parts a parent graph has already checked; ``__init__``'s checks
+        do not run."""
         g = cls.__new__(cls)
-        g._adopt(vertices, edges, **facts)
+        g._adopt(index, edges)
         return g
 
-    def _adopt(
-        self, vertices, edges, vorder=None, eorder=None, incident=None,
-        connected=None, bridge=None,
-    ) -> None:
+    def _adopt(self, index, edges) -> None:
         # None marks a fact not yet computed; each is filled on first use.
-        self._vertices = vertices
+        self._index = index
         self._edges = edges
-        self._vorder = vorder
-        self._eorder = eorder
-        self._incident = incident
-        self._connected = connected
-        self._bridge = bridge
+        self._incident = None
+        self._connected = None
+        self._bridge = None
         self._identified: Dict[frozenset, tuple] = {}  # oldest use first
         self._kept: dict = {}
 
@@ -205,28 +206,26 @@ class Multigraph:
 
     @property
     def n(self) -> int:
-        return len(self._vertices)
+        return len(self._index)
 
     @property
     def m(self) -> int:
         return len(self._edges)
 
     def vertices(self) -> frozenset:
-        return self._vertices
+        return frozenset(self._index)
 
-    def _vertex_order(self) -> tuple:
-        if self._vorder is None:
-            self._vorder = tuple(sorted(self._vertices, key=_vkey))
-        return self._vorder
-
-    def _edge_order(self) -> tuple:
-        if self._eorder is None:
-            self._eorder = tuple(sorted(self._edges.values(), key=lambda e: _vkey(e.id)))
-        return self._eorder
+    def position(self, v: VertexId) -> int:
+        """The vertex's position in ``sorted_vertices()``: its row in every
+        Laplacian of the graph."""
+        try:
+            return self._index[v]
+        except KeyError:
+            raise UnknownVertexError(f"unknown vertex {v!r}") from None
 
     def _incidence(self) -> Dict[VertexId, List[EdgeId]]:
         if self._incident is None:
-            incident: Dict[VertexId, List[EdgeId]] = {v: [] for v in self._vertices}
+            incident: Dict[VertexId, List[EdgeId]] = {v: [] for v in self._index}
             for e in self._edges.values():
                 incident[e.u].append(e.id)
                 if e.v != e.u:
@@ -235,13 +234,13 @@ class Multigraph:
         return self._incident
 
     def sorted_vertices(self) -> list:
-        return list(self._vertex_order())
+        return list(self._index)
 
     def edges(self) -> List[Edge]:
-        return list(self._edge_order())
+        return list(self._edges.values())
 
     def edge_ids(self) -> list:
-        return [e.id for e in self._edge_order()]
+        return list(self._edges)
 
     def edge(self, e: EdgeId) -> Edge:
         try:
@@ -263,13 +262,13 @@ class Multigraph:
         return all(e.length == 1 for e in self._edges.values())
 
     def incident(self, v: VertexId) -> List[EdgeId]:
-        self._require_vertex(v)
+        self.position(v)
         return list(self._incidence()[v])
 
     def edges_between(self, u: VertexId, v: VertexId) -> List[EdgeId]:
         """Edge ids joining u and v; with u == v, the self-loops at u."""
-        self._require_vertex(u)
-        self._require_vertex(v)
+        self.position(u)
+        self.position(v)
         incident = self._incidence()[u]
         if u == v:
             return [e for e in incident if self._edges[e].is_loop()]
@@ -281,7 +280,7 @@ class Multigraph:
 
     def neighbors_with_multiplicity(self, v: VertexId) -> List[Tuple[VertexId, int]]:
         """Neighbors and parallel-edge counts; self-loops are excluded."""
-        self._require_vertex(v)
+        self.position(v)
         counts: Counter = Counter()
         for eid in self._incidence()[v]:
             e = self._edges[eid]
@@ -316,7 +315,7 @@ class Multigraph:
         return seen
 
     def connected_components(self) -> List[Set[VertexId]]:
-        remaining = set(self._vertices)
+        remaining = set(self._index)
         comps = []
         while remaining:
             comp = self._reach(remaining.pop())
@@ -327,7 +326,7 @@ class Multigraph:
     def is_connected(self) -> bool:
         if self._connected is None:
             self._connected = (
-                self.n <= 1 or len(self._reach(next(iter(self._vertices)))) == self.n
+                self.n <= 1 or len(self._reach(next(iter(self._index)))) == self.n
             )
         return self._connected
 
@@ -350,7 +349,7 @@ class Multigraph:
         bridge = dict.fromkeys(edges, False)
         disc: Dict[VertexId, int] = {}
         low: Dict[VertexId, int] = {}
-        for root in self._vertices:
+        for root in self._index:
             if root in disc:
                 continue
             disc[root] = low[root] = len(disc)
@@ -381,14 +380,16 @@ class Multigraph:
         """True iff s and t fall into different components of graph - e:
         a walk from s that never crosses e does not reach t."""
         self.edge(e)
-        self._require_vertex(s)
-        self._require_vertex(t)
+        self.position(s)
+        self.position(t)
         return s != t and t not in self._reach(s, e)
 
     def bridge_kind(self, e: EdgeId, s: VertexId, t: VertexId) -> str:
         """How the edge sits between s and t: ``"bridge-on-path"`` for a
         bridge that separates them, ``"bridge-off-path"`` for any other
         bridge, ``"non-bridge"`` for a self-loop or an edge on a cycle."""
+        self.position(s)
+        self.position(t)
         if self.edge(e).is_loop() or not self.is_bridge(e):
             return "non-bridge"
         return "bridge-on-path" if self.separates(e, s, t) else "bridge-off-path"
@@ -397,10 +398,9 @@ class Multigraph:
         """Laplacian rows in sorted vertex order: off-diagonal -(sum of
         ``conductance(edge)`` over the joining edges), diagonal chosen so
         rows sum to zero.  Self-loops contribute nothing."""
-        idx = {v: i for i, v in enumerate(self._vertex_order())}
-        n = len(idx)
+        idx, n = self._index, self.n
         rows = [[0] * n for _ in range(n)]
-        for e in self._edge_order():
+        for e in self.edges():
             if e.is_loop():
                 continue
             c = conductance(e)
@@ -423,33 +423,24 @@ class Multigraph:
     # -- surgery ---------------------------------------------------------
 
     def delete_edge(self, e: EdgeId) -> "Multigraph":
-        self.edge(e)
-        return self._derive(
-            self._vertices,
-            {k: x for k, x in self._edges.items() if k != e},
-            vorder=self._vertex_order(),
-            eorder=tuple(x for x in self._edge_order() if x.id != e),
-        )
+        return self._without({e})
 
     def delete_edges(self, ids: Iterable[EdgeId]) -> "Multigraph":
-        drop = set(ids)
+        return self._without(set(ids))
+
+    def _without(self, drop: Set[EdgeId]) -> "Multigraph":
         for e in drop:
             self.edge(e)
         return self._derive(
-            self._vertices,
-            {k: x for k, x in self._edges.items() if k not in drop},
-            vorder=self._vertex_order(),
-            eorder=tuple(x for x in self._edge_order() if x.id not in drop),
+            self._index, {k: x for k, x in self._edges.items() if k not in drop}
         )
 
     def delete_vertex(self, v: VertexId) -> "Multigraph":
         """Remove the vertex and every edge incident to it."""
-        self._require_vertex(v)
+        self.position(v)
         return self._derive(
-            self._vertices - {v},
+            {w: i for i, w in enumerate(w for w in self._index if w != v)},
             {k: x for k, x in self._edges.items() if v not in (x.u, x.v)},
-            vorder=tuple(x for x in self._vertex_order() if x != v),
-            eorder=tuple(x for x in self._edge_order() if v not in (x.u, x.v)),
         )
 
     def with_length(self, e: EdgeId, length) -> "Multigraph":
@@ -458,25 +449,12 @@ class Multigraph:
         new_len = rational(length)
         if new_len <= 0:
             raise GraphError(f"edge length must be positive, got {new_len}")
-        new = ed._replace(length=new_len)
-        return self._relengthened(lambda x: new if x.id == e else x)
+        return self._derive(self._index, {**self._edges, e: ed._replace(length=new_len)})
 
     def with_unit_lengths(self) -> "Multigraph":
         one = Fraction(1)
-        return self._relengthened(lambda x: x._replace(length=one))
-
-    def _relengthened(self, edge_map: Callable[[Edge], Edge]) -> "Multigraph":
-        """The graph with each edge replaced by ``edge_map(edge)``, which
-        changes only lengths, so every fact but the Laplacian carries over."""
-        edges = {k: edge_map(x) for k, x in self._edges.items()}
         return self._derive(
-            self._vertices,
-            edges,
-            vorder=self._vertex_order(),
-            eorder=tuple(edges[x.id] for x in self._edge_order()),
-            incident=self._incident,
-            connected=self._connected,
-            bridge=self._bridge,
+            self._index, {k: x._replace(length=one) for k, x in self._edges.items()}
         )
 
     def identify(
@@ -495,7 +473,7 @@ class Multigraph:
             partition = VertexPartition(partition)
         for group in partition:
             for v in group:
-                self._require_vertex(v)
+                self.position(v)
         key = frozenset(g for g in map(frozenset, partition) if len(g) > 1)
         memo = self._identified
         kept = memo.pop(key, None)
@@ -508,7 +486,7 @@ class Multigraph:
         return graph, dict(renames)
 
     def _identified_by(self, groups: frozenset) -> tuple:
-        renames: Dict[VertexId, VertexId] = {v: v for v in self._vertices}
+        renames: Dict[VertexId, VertexId] = {v: v for v in self._index}
         for group in groups:
             merged = MergedVertex(group)
             for v in group:
@@ -517,12 +495,7 @@ class Multigraph:
             k: Edge(k, renames[x.u], renames[x.v], x.length)
             for k, x in self._edges.items()
         }
-        graph = self._derive(
-            frozenset(renames.values()),
-            edges,
-            eorder=tuple(edges[x.id] for x in self._edge_order()),
-        )
-        return graph, renames
+        return self._derive(_positions(set(renames.values())), edges), renames
 
     def contract_edge(
         self, e: EdgeId
@@ -541,7 +514,7 @@ class Multigraph:
         """This graph, which is G - ed, with ed's ends identified: the
         contraction G / ed.  For a self-loop that is this graph itself."""
         if ed.is_loop():
-            return self, {v: v for v in self._vertices}
+            return self, {v: v for v in self._index}
         return self.identify([(ed.u, ed.v)])
 
     # -- hashing / serialization -----------------------------------------
@@ -558,19 +531,15 @@ class Multigraph:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Multigraph)
-            and self._vertices == other._vertices
+            and self._index.keys() == other._index.keys()
             and self._edges == other._edges
         )
 
     def __hash__(self):
-        return hash((self._vertices, tuple(e.id for e in self._edge_order())))
+        return hash((frozenset(self._index), tuple(self._edges)))
 
     def __repr__(self) -> str:
         return f"Multigraph(n={self.n}, m={self.m}, hash={self.graph_hash()})"
-
-    def _require_vertex(self, v: VertexId) -> None:
-        if v not in self._vertices:
-            raise UnknownVertexError(f"unknown vertex {v!r}")
 
 
 # -- standard families ----------------------------------------------------

@@ -97,8 +97,8 @@ def reduce_two_terminal(
     """
     if s == t:
         raise GraphError("terminals must be distinct")
-    graph._require_vertex(s)
-    graph._require_vertex(t)
+    graph.position(s)
+    graph.position(t)
     if not graph.is_connected():
         raise DisconnectedError("graph must be connected")
     trace = ReductionTrace()

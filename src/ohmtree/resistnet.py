@@ -2,16 +2,17 @@
 
 A :class:`Network` wraps a connected multigraph, viewing each edge of length
 L as a resistor of L ohms.  Everything here is exact.  The Laplacian is
-assembled in integers over one common denominator and grounded at its first
-sorted vertex: without that row and column it is invertible by one
-fraction-free ``Matrix.inverse`` per network, and the inverse, padded with
-zeros, is centred in integers to the pseudo-inverse.  Each resistance or
-voltage is one integer combination of its numerators over its one denominator,
-so every identity evaluator below can report a residual that is literally
-zero.  The only floating-point code is the finite-difference mirror used to
-cross-check the derivative formula; it grounds the float Laplacian the same
-way and inverts it by Gauss-Jordan elimination on floats
-(``exactnum.invert_rows``).
+assembled in integers over one common denominator, a vertex's row being its
+``Multigraph.position``, and grounded at its first sorted vertex: without
+that row and column it is invertible by one fraction-free ``Matrix.inverse``
+per network, and the inverse, padded with zeros, is centred in integers to
+the pseudo-inverse.  A resistance or voltage looks its vertices up first, so
+an unknown vertex costs no inversion, and is one integer combination of the
+numerators over their one denominator, so every identity evaluator below can
+report a residual that is literally zero.  The only floating-point code is
+the finite-difference mirror used to cross-check the derivative formula; it
+grounds the float Laplacian the same way and inverts it by Gauss-Jordan
+elimination on floats (``exactnum.invert_rows``).
 
 Derived quantities for a surgered graph (vertices identified, an edge deleted
 or contracted, a length changed) are always computed by building the surgered
@@ -37,7 +38,6 @@ from .graph import (
     EdgeId,
     Multigraph,
     PreconditionError,
-    UnknownVertexError,
     VertexId,
 )
 
@@ -87,7 +87,6 @@ class Network:
         if not graph.is_connected():
             raise DisconnectedError("network graph must be connected")
         self.graph = graph
-        self._index = None
         self._pseudo_inverse = None
         self._cut = None  # (e, G - e) for the last edge asked about
 
@@ -101,26 +100,18 @@ class Network:
             self._pseudo_inverse = pseudo_inverse(self.laplacian)
         return self._pseudo_inverse
 
-    def _i(self, v: VertexId) -> int:
-        if self._index is None:
-            self._index = {w: i for i, w in enumerate(self.graph.sorted_vertices())}
-        try:
-            return self._index[v]
-        except KeyError:
-            raise UnknownVertexError(f"unknown vertex {v!r}") from None
-
     def resistance(self, p: VertexId, q: VertexId) -> Fraction:
         """Effective resistance r(p, q) = l+pp - 2 l+pq + l+qq."""
+        i, j = self.graph.position(p), self.graph.position(q)
         lp = self.pseudo_inverse
-        i, j = self._i(p), self._i(q)
         m = lp.numerators
         return Fraction(m[i][i] - 2 * m[i][j] + m[j][j], lp.denominator)
 
     def voltage(self, z: VertexId, x: VertexId, y: VertexId) -> Fraction:
         """Voltage j_z(x, y): potential at x, reference 0 at z, when unit
         current enters at y and exits at z.  Equals l+zz - l+zx - l+zy + l+xy."""
+        a, b, c = map(self.graph.position, (z, x, y))
         lp = self.pseudo_inverse
-        a, b, c = self._i(z), self._i(x), self._i(y)
         m = lp.numerators
         return Fraction(m[a][a] - m[a][b] - m[a][c] + m[b][c], lp.denominator)
 
@@ -215,7 +206,7 @@ def euler_decomposition(net: Network, s: VertexId, t: VertexId) -> List[EulerTer
     (j_p(q, s) - j_p(q, t))^2 / L, with voltages taken in the whole network.
     The contributions sum exactly to r(s, t).
     """
-    net._i(s), net._i(t)
+    net.graph.position(s), net.graph.position(t)
     terms = []
     for ed in net.graph.edges():
         kind = net.graph.bridge_kind(ed.id, s, t)
@@ -234,7 +225,7 @@ def euler_decomposition_resistance_only(
     """Alternative split of r(s, t) using resistances only, uniform over all
     edges:  each edge (p, q) of length L contributes
     (r(p,s) - r(q,s) - r(p,t) + r(q,t))^2 / (4 L)."""
-    net._i(s), net._i(t)
+    net.graph.position(s), net.graph.position(t)
     terms = []
     for ed in net.graph.edges():
         kind = net.graph.bridge_kind(ed.id, s, t)
@@ -392,16 +383,13 @@ def float_resistance(
     and column it is symmetric positive definite, so the float Gauss-Jordan
     routine needs no pivoting.  Padded with zeros for that vertex, its
     inverse G gives r(p, q) = G[p,p] - 2 G[p,q] + G[q,q]."""
-    for v in (p, q):
-        graph._require_vertex(v)
+    i, j = graph.position(p), graph.position(q)
     if not graph.is_connected():
         raise DisconnectedError("float resistance of a disconnected graph")
     override = length_override or {}
     rows = graph.laplacian_rows(lambda e: 1.0 / override.get(e.id, float(e.length)))
     grounded = invert_rows([row[1:] for row in rows[1:]], 1.0)
     g = [[0.0] * graph.n] + [[0.0] + row for row in grounded]
-    order = graph.sorted_vertices()
-    i, j = order.index(p), order.index(q)
     return g[i][i] - 2.0 * g[i][j] + g[j][j]
 
 

@@ -104,16 +104,15 @@ def count_enumeration(graph: Multigraph) -> int:
         raise PreconditionError(
             f"enumeration budget exceeded: {len(edges)} > {ENUM_EDGE_BUDGET} edges"
         )
-    order = graph.sorted_vertices()
-    idx = {v: i for i, v in enumerate(order)}
-    n = len(order)
+    n = graph.n
     if n == 1:
         return 1
     need = n - 1
     if len(edges) < need:
         return 0
     count = 0
-    for subset in combinations(edges, need):
+    ends = [(graph.position(e.u), graph.position(e.v)) for e in edges]
+    for subset in combinations(ends, need):
         parent = list(range(n))
 
         def find(a):
@@ -123,8 +122,8 @@ def count_enumeration(graph: Multigraph) -> int:
             return a
 
         ok = True
-        for e in subset:
-            ra, rb = find(idx[e.u]), find(idx[e.v])
+        for u, v in subset:
+            ra, rb = find(u), find(v)
             if ra == rb:
                 ok = False
                 break
@@ -152,7 +151,7 @@ def identified_count(graph: Multigraph, *groups: Sequence[VertexId]) -> int:
     member of every group is checked first: an unknown one raises."""
     groups = [tuple(group) for group in groups]
     for v in (v for group in groups for v in group):
-        graph._require_vertex(v)
+        graph.position(v)
     current = graph
     renames = {v: v for v in graph.vertices()}
     for members in groups:
@@ -363,7 +362,7 @@ def vertex_deletion_count(
     where H = G - u and a_i is the number of parallel edges from u to its
     i-th neighbor.  Returns the total and the term-by-term report.
     """
-    graph._require_vertex(u)
+    graph.position(u)
     if graph.n < 2:
         raise PreconditionError("vertex deletion needs at least two vertices")
     h = graph.delete_vertex(u)
@@ -387,11 +386,11 @@ def star_augmentation_count(
         t(H) + sum over nonempty target subsets T of
                (prod of the a_i in T) t(H with T + anchor identified).
     """
-    graph._require_vertex(anchor)
+    graph.position(anchor)
     tgt = list(targets)
     seen = {anchor}
     for v, a in tgt:
-        graph._require_vertex(v)
+        graph.position(v)
         if v in seen:
             raise GraphError("star targets must be distinct, excluding anchor")
         seen.add(v)
@@ -407,12 +406,12 @@ def add_star_edges(
     graph: Multigraph, anchor: VertexId, targets: Sequence[Tuple[VertexId, int]]
 ) -> Multigraph:
     """Graph with a_i unit edges added from the anchor to each target."""
-    graph._require_vertex(anchor)
+    graph.position(anchor)
     taken = set(graph.edge_ids())
     ids = (f"aug{k}" for k in count(1))
     new_edges = list(graph.edges())
     for v, a in targets:
-        graph._require_vertex(v)
+        graph.position(v)
         new_edges += [(_first_free(ids, taken), anchor, v, 1) for _ in range(a)]
     return Multigraph(graph.vertices(), new_edges)
 
@@ -559,9 +558,9 @@ def union_at(
     if len(points1) != len(points2):
         raise GraphError("point lists must have equal length")
     for v in points1:
-        g1._require_vertex(v)
+        g1.position(v)
     for v in points2:
-        g2._require_vertex(v)
+        g2.position(v)
     vmap = {v: (UNION_TAG, v) for v in g2.vertices()}
     for a, b in zip(points1, points2):
         vmap[b] = a
@@ -577,8 +576,8 @@ def _glue(parts: Sequence[Tuple[Multigraph, VertexId, VertexId]], ends) -> Multi
     vertices = {hub for pair in ends for hub in pair}
     edges = []
     for i, ((g, s, t), (hub_s, hub_t)) in enumerate(zip(parts, ends)):
-        g._require_vertex(s)
-        g._require_vertex(t)
+        g.position(s)
+        g.position(t)
         vmap = {v: (i, v) for v in g.vertices()}
         vmap[s], vmap[t] = hub_s, hub_t
         vertices |= set(vmap.values())

@@ -161,6 +161,14 @@ def test_reachability_matches_union_find(g):
     assert g.bridges() == bridges
 
 
+@settings(SETTINGS, max_examples=100)
+@given(g=graphs())
+def test_connected_graphs_have_two_removable_vertices(g):
+    """Every leaf of a spanning tree is a non-cut vertex, so a connected
+    graph on two or more vertices has at least two."""
+    assert len(spantree.removable_vertices(g)) >= 2
+
+
 def _id_order(x):
     """The documented order of vertex and edge ids: by text, then type name."""
     return str(x), type(x).__name__
@@ -176,6 +184,7 @@ def test_cached_graph_facts_match_fresh_answers(g):
     root = _classes(g)
     for _ in range(2):
         assert g.sorted_vertices() == sorted(g.vertices(), key=_id_order)
+        assert [g.position(v) for v in g.sorted_vertices()] == list(range(g.n))
         assert g.edge_ids() == ids
         assert g.edges() == [g.edge(e) for e in ids]
         assert g.is_connected() == (len(set(root.values())) == 1)
@@ -192,6 +201,7 @@ def _facts(g):
     """Every fact a graph keeps, read through the public calls."""
     facts = (
         g.sorted_vertices(),
+        {v: g.position(v) for v in g.vertices()},
         g.edges(),
         g.is_connected(),
         g.bridges(),

@@ -68,6 +68,13 @@ def test_trace_is_deterministic_text():
         "series consumed=e2,e3 produced=ser1:v2:v1:2\n"
         "parallel consumed=e1,ser1 produced=par1:v1:v2:2/3\n"
     )
+    # the same graph with its edges given in another order reduces alike
+    rng = random.Random(2030)
+    for _ in range(40):
+        g, s, t = generate_series_parallel(rng)
+        reordered = Multigraph(g.vertices(), reversed(g.edges()))
+        want = reduce_two_terminal(g, s, t)[1].text()
+        assert reduce_two_terminal(reordered, s, t)[1].text() == want
 
 
 def test_delta_y_symmetric_triangle():

@@ -143,6 +143,30 @@ def test_repeated_laws_invert_and_count_again(monkeypatch):
     assert fresh._identified == {}
 
 
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda net: net.resistance("zz", "v1"),
+        lambda net: net.voltage("v1", "v2", "zz"),
+        lambda net: resistance_derivative(net, "e1", "v1", "zz"),
+    ],
+    ids=["resistance", "voltage", "derivative"],
+)
+def test_unknown_vertex_raises_before_inverting(monkeypatch, query):
+    inversions = []
+    inverse = Matrix.inverse
+
+    def counted(self):
+        inversions.append(self.rows)
+        return inverse(self)
+
+    monkeypatch.setattr(Matrix, "inverse", counted)
+    net = Network(cycle_graph(4))  # e1 is on the cycle, so not a bridge
+    with pytest.raises(UnknownVertexError):
+        query(net)
+    assert inversions == []
+
+
 def test_kept_graphs_are_bounded():
     """A graph keeps only its last KEPT_IDENTIFICATIONS identifications, a
     hit counting as a use, and a Network only the G - e of the last edge it
