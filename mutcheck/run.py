@@ -179,20 +179,20 @@ MUTANTS = [
     (
         "det-bareiss-divisor",
         "exactnum.py",
-        "            prev = pivot\n",
-        "            prev = 1\n",
+        "        prev = p\n",
+        "        prev = 1\n",
     ),
     (
         "inverse-current-pivot-divisor",
         "exactnum.py",
-        "(p * x - f * y) // prev",
-        "(p * x - f * y) // p",
+        "(row[j] * p - f * top[j]) // prev",
+        "(row[j] * p - f * top[j]) // p",
     ),
     (
         "inverse-forward-only",
         "exactnum.py",
-        "if i != k:",
-        "if i > k:",
+        "                if u:\n",
+        "                if False:\n",
     ),
     (
         "inverse-unscaled-identity",
@@ -203,10 +203,8 @@ MUTANTS = [
     (
         "inverse-first-pivot",
         "exactnum.py",
-        "            prev = p\n"
-        "        return Matrix.from_integer_rows([row[n:] for row in w], prev)",
-        "            prev, first = p, first if k else p\n"
-        "        return Matrix.from_integer_rows([row[n:] for row in w], first)",
+        "    return sign, prev\n",
+        "    return sign, w[0][0] if n else 1\n",
     ),
     (
         "matrix-unreduced",
@@ -223,8 +221,26 @@ MUTANTS = [
     (
         "det-denominator-power",
         "exactnum.py",
-        "self._den ** n)",
+        "self._den ** self.rows)",
         "self._den)",
+    ),
+    (
+        "backsub-last-pivot-divisor",
+        "exactnum.py",
+        "y[i] = [a // row[i] for a in acc]",
+        "y[i] = [a // last for a in acc]",
+    ),
+    (
+        "backsub-unscaled-rhs",
+        "exactnum.py",
+        "acc = [last * x for x in row[n:]]",
+        "acc = list(row[n:])",
+    ),
+    (
+        "backsub-tridiagonal",
+        "exactnum.py",
+        "for j in range(i + 1, n):",
+        "for j in range(i + 1, min(i + 2, n)):",
     ),
     (
         "laplacian-diagonal",

@@ -6,8 +6,9 @@ That canonicity is what lets every identity in this package be checked
 against literal zero instead of a tolerance.  A :class:`Matrix` is canonical
 the same way: integer rows over one positive common denominator, in lowest
 terms, with a ``Fraction`` built only when an entry is read.  Its
-:meth:`~Matrix.det` and :meth:`~Matrix.inverse` are fraction-free (Bareiss)
-eliminations on the integer rows.  The field-generic Gauss-Jordan routine
+:meth:`~Matrix.det` and :meth:`~Matrix.inverse` share one fraction-free
+(Bareiss) forward elimination on the integer rows; the inverse finishes with
+fraction-free back substitution.  The field-generic Gauss-Jordan routine
 :func:`invert_rows` serves the float mirror of the derivative check and is the
 tests' exact oracle.
 """
@@ -153,55 +154,67 @@ class Matrix:
             raise ValueError(f"not square: {self.rows}x{self.cols}")
 
     def det(self) -> Fraction:
-        """Exact determinant via fraction-free (Bareiss) elimination on the
-        integer rows, divided by the denominator to the n-th power at the
-        end.  The empty 0x0 matrix has determinant 1."""
+        """Exact determinant of N / d: the forward sweep of :func:`_eliminate`
+        on the integer rows N leaves det(N) = sign * last pivot, divided by
+        d to the n-th power; 0 when a column has no pivot.  The empty 0x0
+        matrix has determinant 1."""
         self._check_square()
-        n = self.rows
-        if n == 0:
-            return Fraction(1)
-        work = [list(row) for row in self._num]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            piv = next((r for r in range(k, n) if work[r][k]), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != k:
-                work[k], work[piv] = work[piv], work[k]
-                sign = -sign
-            pivot = work[k][k]
-            for i in range(k + 1, n):
-                fall = work[i][k]
-                for j in range(k + 1, n):
-                    # Bareiss update: division by the previous pivot is exact.
-                    work[i][j] = (work[i][j] * pivot - fall * work[k][j]) // prev
-                work[i][k] = 0
-            prev = pivot
-        return Fraction(sign * work[n - 1][n - 1], self._den ** n)
+        try:
+            sign, last = _eliminate([list(row) for row in self._num], self.rows)
+        except SingularMatrixError:
+            return Fraction(0)
+        return Fraction(sign * last, self._den ** self.rows)
 
     def inverse(self) -> "Matrix":
-        """Exact inverse A^-1 of A = N / d by fraction-free (Bareiss)
-        Gauss-Jordan elimination: N | d I becomes prev I | prev A^-1, each
-        update dividing exactly by the previous pivot, and the right block is
-        reduced over the last pivot prev, whose sign may be negative.  Pivots
-        and the SingularMatrixError column are those of invert_rows."""
+        """Exact inverse A^-1 of A = N / d: the forward sweep of
+        :func:`_eliminate` turns N | d I into U | B, and fraction-free back
+        substitution solves U Y = D B from the bottom row up, D the last
+        pivot, Y_i = (D B_i - sum over j > i of U_ij Y_j) / U_ii.  Each division
+        is exact because Y = D A^-1 is integral; zero U_ij are skipped, so a
+        banded U costs about n^2 times its bandwidth.  The answer is Y / D,
+        whose sign may be negative.  Pivots and the SingularMatrixError column
+        are those of invert_rows."""
         self._check_square()
         n, d = self.rows, self._den
         w = [[*r, *(d * (i == j) for j in range(n))] for i, r in enumerate(self._num)]
-        prev = 1
-        for k in range(n):
-            piv = next((r for r in range(k, n) if w[r][k]), None)
+        last = _eliminate(w, n)[1]
+        y = [None] * n
+        for i in range(n - 1, -1, -1):
+            row = w[i]
+            acc = [last * x for x in row[n:]]
+            for j in range(i + 1, n):
+                u = row[j]
+                if u:
+                    acc = [a - u * b for a, b in zip(acc, y[j])]
+            y[i] = [a // row[i] for a in acc]
+        return Matrix.from_integer_rows(y, last)
+
+
+def _eliminate(w: list, n: int) -> tuple:
+    """Fraction-free (Bareiss) forward elimination, in place, of the first n
+    columns of the integer rows ``w``, carrying any later columns along; each
+    update divides exactly by the previous pivot.  Takes the first nonzero
+    pivot of each column, so the pivots and the SingularMatrixError column
+    are those of invert_rows.  Returns the sign of the row permutation and
+    the last pivot, 1 when n is 0.  Row i is left with its pivot U_ii in
+    column i and U_ij to the right of it; entries to its left are stale."""
+    sign, prev = 1, 1
+    for k in range(n):
+        if not w[k][k]:
+            piv = next((r for r in range(k + 1, n) if w[r][k]), None)
             if piv is None:
                 raise SingularMatrixError(k)
             w[k], w[piv] = w[piv], w[k]
-            p, top = w[k][k], w[k]
-            for i in range(n):
-                if i != k:
-                    f = w[i][k]
-                    w[i] = [(p * x - f * y) // prev for x, y in zip(w[i], top)]
-            prev = p
-        return Matrix.from_integer_rows([row[n:] for row in w], prev)
+            sign = -sign
+        top = w[k]
+        p, cols = top[k], range(k + 1, len(top))
+        for i in range(k + 1, n):
+            row = w[i]
+            f = row[k]
+            for j in cols:
+                row[j] = (row[j] * p - f * top[j]) // prev
+        prev = p
+    return sign, prev
 
 
 def invert_rows(rows: Sequence[Sequence], unit) -> list:

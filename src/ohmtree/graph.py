@@ -290,7 +290,9 @@ class Multigraph:
 
     def degree(self, v: VertexId) -> int:
         """Number of incident non-loop edges."""
-        return sum(m for _, m in self.neighbors_with_multiplicity(v))
+        self.position(v)
+        edges = self._edges
+        return sum(not edges[e].is_loop() for e in self._incidence()[v])
 
     def genus(self) -> int:
         """Cyclomatic number m - n + 1 of a connected graph."""

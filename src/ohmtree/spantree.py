@@ -34,7 +34,6 @@ from .graph import (
     PreconditionError,
     VertexId,
     _first_free,
-    _vkey,
 )
 from .polyseq import morgan_voyce, w_poly
 
@@ -88,8 +87,8 @@ def count_deletion_contraction(graph: Multigraph) -> int:
         if g.m == 0:
             total += 1  # connected without edges: a single vertex
             continue
-        busiest = max(g.sorted_vertices(), key=lambda v: (g.degree(v), _vkey(v)))
-        e = min(g.incident(busiest), key=_vkey)
+        busiest = max(g.sorted_vertices(), key=lambda v: (g.degree(v), g.position(v)))
+        e = g.incident(busiest)[0]  # incidence lists are in sorted id order
         pending += [g.delete_edge(e), g.contract_edge(e)[0]]
     return total
 

@@ -4,8 +4,9 @@ queries and the order, connectivity and bridge answers a graph keeps agree
 with a fresh sort and a union-find oracle on any small multigraph, a
 surgered graph and the facts it inherits equal a graph built afresh from
 its vertices and edges, an exact ``Matrix`` is canonical whatever form its
-entries are written in, and a failure shrinks to the smallest
-counterexample graph."""
+entries are written in, its one elimination agrees with Fraction arithmetic
+on banded grid Laplacians and on matrices that need row swaps, and a failure
+shrinks to the smallest counterexample graph."""
 
 from fractions import Fraction
 from itertools import chain
@@ -338,3 +339,72 @@ def test_matrix_canonical_examples():
         inverse = Matrix(rows).inverse()
         ref = Matrix(invert_rows([[Fraction(x) for x in r] for r in rows], Fraction(1)))
         assert _canonical(inverse) == ref and hash(inverse) == hash(ref)
+
+
+@st.composite
+def grid_laplacians(draw):
+    """The Laplacian of an r x c grid (r and c 1-6) with rational
+    conductances and its vertices in row-major order, so it is banded with
+    bandwidth c: grounded at its first vertex, which makes it invertible,
+    and whole, which makes it singular in its last column."""
+    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    n = r * c
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for v in range(n):
+        right = [v + 1] if (v + 1) % c else []
+        below = [v + c] if v + c < n else []
+        for w in right + below:
+            g = draw(LENGTHS)
+            rows[v][v] += g
+            rows[w][w] += g
+            rows[v][w] -= g
+            rows[w][v] -= g
+    return [[row[1:] for row in rows[1:]], rows]
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A mostly zero n x n matrix of Fractions (n 2-6) whose top-left entry
+    is zero and some later entry of the first column is not, so elimination
+    must swap rows for its first pivot; later columns may need swaps too, or
+    have no pivot at all."""
+    n = draw(st.integers(2, 6))
+    sign = st.sampled_from([-1, 1])
+    nonzero = st.builds(lambda s, x: s * x, sign, LENGTHS)
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), nonzero)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    rows[0][0] = Fraction(0)
+    rows[draw(st.integers(1, n - 1))][0] = draw(nonzero)
+    return [rows]
+
+
+def _fraction_det(rows):
+    """Determinant by Gaussian elimination in Fractions."""
+    a, det = [list(row) for row in rows], Fraction(1)
+    for k in range(len(a)):
+        piv = next((r for r in range(k, len(a)) if a[r][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv], det = a[piv], a[k], -det
+        det *= a[k][k]
+        for row in a[k + 1 :]:
+            f = row[k] / a[k][k]
+            row[k:] = [x - f * y for x, y in zip(row[k:], a[k][k:])]
+    return det
+
+
+@SETTINGS
+@given(matrices=st.one_of(grid_laplacians(), sparse_matrices()))
+def test_kernel_on_banded_and_row_swapping_matrices(matrices):
+    """The one elimination behind ``det`` and ``inverse``, on the banded
+    matrices a Laplacian gives and on sparse ones that need row swaps: the
+    inverse, or the column without a pivot, is that of Gauss-Jordan in
+    Fractions, and the determinant that of a cofactor expansion or of
+    Gaussian elimination in Fractions."""
+    for rows in matrices:
+        m = Matrix(rows)
+        inverse = _inverse_or_pivot(m.inverse)
+        expect = _inverse_or_pivot(lambda: Matrix(invert_rows(rows, Fraction(1))))
+        assert inverse == expect and hash(inverse) == hash(expect)
+        assert m.det() == (cofactor_det(m) if m.rows <= 6 else _fraction_det(rows))
