@@ -6,9 +6,10 @@ Each mutant is one textual replacement in one module of ``src/ohmtree``: a
 flipped sign, an off-by-one shift, a dropped correction or a swapped
 argument in a shared helper.  For each mutant the script copies ``src/`` to
 a temporary directory, applies the replacement there (its text must occur
-exactly once) and runs the property, tree-count, network, kernel and
-polynomial tests against the copy with ``pytest -x``.  The mutant is killed
-when pytest fails.  The unmutated copy is run first and must pass.
+exactly once) and runs the property, tree-count, network, kernel,
+polynomial and identity-suite tests against the copy with ``pytest -x``.
+The mutant is killed when pytest fails.  The unmutated copy is run first
+and must pass.
 
 Exits 1 when a mutant survives or no longer applies, 2 when the unmutated
 copy fails.  A surviving mutant calls for a new test; it is never taken off
@@ -33,6 +34,7 @@ TESTS = [
     "tests/test_resistnet.py",
     "tests/test_exactnum.py",
     "tests/test_polyseq.py",
+    "tests/test_verify.py",
 ]
 TIMEOUT_S = 600
 
@@ -301,6 +303,24 @@ MUTANTS = [
         "graph.py",
         "for i in range(1, n + 1) for j in range(1, a + 1)",
         "for i in range(1, n) for j in range(1, a + 1)",
+    ),
+    (
+        "law-skips-uncounted",
+        "verify.py",
+        "checks.count(None)",
+        "0",
+    ),
+    (
+        "law-no-names-draws-samples",
+        "verify.py",
+        "if exhaustive or not pools:",
+        "if exhaustive:",
+    ),
+    (
+        "vol-transfer-degenerate-t",
+        "verify.py",
+        "((u, t), (p, t), (u, p))",
+        "((u, t), (p, t), (u, t))",
     ),
 ]
 

@@ -6,17 +6,21 @@ Graph files are line oriented:
     vertex a            (optional; endpoints of edges are declared implicitly)
     edge e1 a b 2/3     (length defaults to 1; integers and p/q accepted)
 
-Exact fractions are the primary output (first line, as num/den); a 12
-significant digit decimal follows where that helps a human.  Exit codes:
+Graph files are read as UTF-8.  Exact fractions are the primary output
+(first line, as num/den), printed in full however many digits they have; a
+12 significant digit decimal follows where that helps a human.  Exit codes:
 0 ok, 1 verification failures, 2 parse error, 3 disconnected graph,
 4 unknown vertex or edge, 5 violated hypothesis, bad parameters or an
-exceeded budget (``spantree --method enum`` or ``dc``).
+exceeded budget (``spantree --method enum`` or ``dc``), 141 (128 + SIGPIPE)
+when the reader of stdout goes away, as in ``ohmtree verify | head -1``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from . import resistnet, spantree, verify
@@ -36,6 +40,7 @@ EXIT_PARSE = 2
 EXIT_DISCONNECTED = 3
 EXIT_UNKNOWN_ID = 4
 EXIT_PRECONDITION = 5
+EXIT_PIPE = 141
 
 
 class GraphFileError(ValueError):
@@ -86,16 +91,21 @@ def parse_graph_text(text: str) -> Multigraph:
 
 def load_graph(path: str) -> Multigraph:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphFileError(f"cannot read {path}: {exc}") from exc
     return parse_graph_text(text)
 
 
 def _print_fraction(x: Fraction) -> None:
     print(f"{x.numerator}/{x.denominator}")
-    print(f"{x.numerator / x.denominator:.12g}")
+    try:
+        print(f"{x.numerator / x.denominator:.12g}")
+    except OverflowError:  # past the float range: round in decimal instead
+        with localcontext() as ctx:
+            ctx.prec = 12
+            print(f"{Decimal(x.numerator) / x.denominator:.12g}")
 
 
 # subcommand, help, positional names after the file, value on the network;
@@ -268,9 +278,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # exact answers can outgrow the int <-> str digit limit (Python 3.10.7+);
+    # lift it for this call only, so importing the library changes nothing
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left; as the Python docs advise for SIGPIPE, point
+        # stdout at devnull so the final flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except GraphFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -283,6 +307,9 @@ def main(argv=None) -> int:
     except (PreconditionError, GraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -8,16 +8,17 @@ pass flag.  Exact tags pass only on a residual of literal zero; the single
 floating tag (the finite-difference derivative cross-check) uses a relative
 tolerance of 1e-6.
 
-Most laws are one ``REGISTRY`` row built by :func:`_law`: the selection to
-draw, the graph to check on, the hypothesis and the residual.  A requested
-tag that gets no check at all fails the run.
+Nineteen tags are one ``REGISTRY`` row built by :func:`_law`: the selection
+to draw, the graph to check on and the residual; ``vertex-del`` and
+``star-aug`` draw their own selections (see :func:`_law`).  A requested tag
+that gets no check at all fails the run.
 
 Selections are sampled with replacement on purpose: coincident query points
 exercise the degenerate conventions (zero resistance at equal points, zero
-count for an identification of a vertex with itself).  Selections that
-violate a hypothesis (a bridge where a non-bridge is required, equal
-vertices where distinct ones are needed) are filtered out and counted, never
-silently dropped.
+count for an identification of a vertex with itself).  A residual of
+``None`` marks a selection that violates a hypothesis (a bridge where a
+non-bridge is required, equal vertices where distinct ones are needed): it
+is counted as skipped, never silently dropped.
 """
 
 from __future__ import annotations
@@ -155,8 +156,8 @@ def generate_series_parallel(rng: random.Random) -> Tuple[Multigraph, str, str]:
 
 def _selections(rng, pools, samples, exhaustive):
     """One element of each pool per selection: every combination when
-    ``exhaustive``, else ``samples`` draws with replacement."""
-    if exhaustive:
+    ``exhaustive`` (or of no pools), else ``samples`` draws with replacement."""
+    if exhaustive or not pools:
         yield from product(*pools)
     else:
         for _ in range(samples):
@@ -167,16 +168,19 @@ Check = Tuple[str, Fraction, Optional[bool]]
 Evaluator = Callable[[Multigraph, random.Random, int, bool], Tuple[List[Check], int]]
 
 
-def _law(names: str, residual, unit=False, skip=None) -> Evaluator:
+def _law(names: str, residual, unit=False) -> Evaluator:
     """Evaluator that checks one law on every selection.
 
     ``names`` labels the selection, e.g. ``"p q s t"``; an ``e`` draws an
-    edge, every other name a vertex.  The law is checked on the graph, or
-    on its unit-length copy with ``unit``, wrapped in a :class:`Network`
-    that inverts only when a query asks.  A selection for which
-    ``skip(graph, *selection)`` holds violates the law's hypothesis and is
-    counted as skipped.  ``residual(net, rng, *selection)`` returns the
-    residual, or a list of checks that carry their own labels.
+    edge, every other name a vertex, and ``""`` makes one empty selection.
+    The law is checked on the graph, or on its unit-length copy with
+    ``unit``, wrapped in a :class:`Network` that inverts only when a query
+    asks.  ``residual(net, rng, *selection)`` returns the residual, or a
+    list of checks that carry their own labels.  ``None`` as the residual
+    skips the selection, ``None`` in the list one part of it; each counts
+    as skipped.  ``vertex-del`` (a prefix of the removable vertices) and
+    ``star-aug`` (``max(1, samples // 2)`` draws, also when exhaustive) do
+    not draw like :func:`_selections`, so they keep their own evaluators.
     """
     keys = names.split()
     label = ",".join(f"{k}={{}}" for k in keys)
@@ -186,24 +190,15 @@ def _law(names: str, residual, unit=False, skip=None) -> Evaluator:
         net = Network(g)
         verts = g.sorted_vertices()
         pools = [g.edge_ids() if k == "e" else verts for k in keys]
-        out: List[Check] = []
-        skipped = 0
+        checks: List[Optional[Check]] = []
         for sel in _selections(rng, pools, samples, exhaustive):
-            if skip is not None and skip(g, *sel):
-                skipped += 1
-                continue
             r = residual(net, rng, *sel)
-            if isinstance(r, list):
-                out.extend(r)
-            else:
-                out.append((label.format(*sel), r, None))
-        return out, skipped
+            if not isinstance(r, list):
+                r = [None if r is None else (label.format(*sel), r, None)]
+            checks += r
+        return [c for c in checks if c is not None], checks.count(None)
 
     return evaluate
-
-
-def _is_bridge(g, e, *_):
-    return g.is_bridge(e)
 
 
 def _drop(d: resistnet.DeltaResult) -> Fraction:
@@ -222,6 +217,8 @@ def _magic(net, rng, p, q, s, t):
 
 
 def _cutting(net, rng, e, s, t):
+    if net.graph.is_bridge(e):
+        return None
     d = resistnet.cutting_delta(net, e, s, t)
     return d.after - d.before - d.correction
 
@@ -261,97 +258,40 @@ def _span_euler(net, rng, s, t):
     ]
 
 
-# -- evaluators with their own selection -------------------------------------
-
-
-def _eval_vol_transfer(graph, rng, samples, exhaustive):
-    net = Network(graph)
-    verts = graph.sorted_vertices()
-    out: List[Check] = []
-    skipped = 0
-    for e, u, s, t in _selections(
-        rng, [graph.edge_ids()] + [verts] * 3, samples, exhaustive
-    ):
-        if graph.is_bridge(e):
-            skipped += 1
-        else:
+def _vol_transfer(net, rng, e, u, s, t):
+    out: List[Optional[Check]] = [None]
+    if not net.graph.is_bridge(e):
+        out = [
+            (f"{tag}:e={e},u={u},s={s},t={t}", law(net, e, u, s, t), None)
             for tag, law in (
                 ("cut", resistnet.voltage_transfer_cutting),
                 ("contract", resistnet.voltage_transfer_contraction),
-            ):
-                sel = f"{tag}:e={e},u={u},s={s},t={t}"
-                out.append((sel, law(net, e, u, s, t), None))
-        p, q = rng.sample(verts, 2)
-        # the general placement, then the two degenerate ones: u = p, t = p
-        for uu, tt in ((u, t), (p, t), (u, p)):
-            out.append(
-                (
-                    f"short:p={p},q={q},u={uu},s={s},t={tt}",
-                    resistnet.voltage_transfer_shorting(net, p, q, uu, s, tt),
-                    None,
-                )
             )
-    return out, skipped
+        ]
+    p, q = rng.sample(net.graph.sorted_vertices(), 2)
+    # the general placement, then the two degenerate ones: u = p, t = p
+    return out + [
+        (
+            f"short:p={p},q={q},u={uu},s={s},t={tt}",
+            resistnet.voltage_transfer_shorting(net, p, q, uu, s, tt),
+            None,
+        )
+        for uu, tt in ((u, t), (p, t), (u, p))
+    ]
 
 
-def _eval_foster(graph, rng, samples, exhaustive):
-    unit = graph.with_unit_lengths()
-    net = Network(unit)
-    total = sum(
-        (net.resistance(ed.u, ed.v) for ed in unit.edges()), Fraction(0)
-    )
-    return [("all-edges", total - (unit.n - 1), None)], 0
+def _foster(net, rng):
+    g = net.graph
+    total = sum((net.resistance(ed.u, ed.v) for ed in g.edges()), Fraction(0))
+    return [("all-edges", total - (g.n - 1), None)]
 
 
-def _eval_averaging(graph, rng, samples, exhaustive):
-    unit = graph.with_unit_lengths()
-    out: List[Check] = []
-    skipped = 0
-    _, residual = spantree.averaging_contractions(unit)
-    out.append(("contractions", Fraction(residual), None))
-    if unit.bridges():
-        skipped += 1
-    else:
-        _, residual = spantree.averaging_deletions(unit)
-        out.append(("deletions", Fraction(residual), None))
-    return out, skipped
-
-
-def _eval_vertex_del(graph, rng, samples, exhaustive):
-    unit = graph.with_unit_lengths()
-    t_direct = spantree.count_matrix_tree(unit)
-    out: List[Check] = []
-    candidates = spantree.removable_vertices(unit)
-    chosen = candidates if exhaustive else candidates[: max(1, samples // 2)]
-    for u in chosen:
-        total, _ = spantree.vertex_deletion_count(unit, u)
-        out.append((f"u={u}", Fraction(t_direct - total), None))
-        neighbors = unit.neighbors_with_multiplicity(u)
-        h = unit.delete_vertex(u)
-        special = sum(a for _, a in neighbors) * spantree.count_matrix_tree(h)
-        if 2 <= len(neighbors) <= 4:
-            for sub, coeff in spantree._subsets(neighbors, 2):
-                special += coeff * spantree.identified_count(h, sub)
-            label = ("two", "three", "four")[len(neighbors) - 2]
-            out.append((f"{label}-neighbor:u={u}", Fraction(t_direct - special), None))
-    return out, 0
-
-
-def _eval_star_aug(graph, rng, samples, exhaustive):
-    unit = graph.with_unit_lengths()
-    verts = unit.sorted_vertices()
-    out: List[Check] = []
-    for _ in range(max(1, samples // 2)):
-        anchor = rng.choice(verts)
-        others = [v for v in verts if v != anchor]
-        rng.shuffle(others)
-        targets = [(v, rng.randint(1, 3)) for v in others[: rng.randint(1, min(3, len(others)))]]
-        formula = spantree.star_augmentation_count(unit, anchor, targets)
-        built = spantree.add_star_edges(unit, anchor, targets)
-        direct = spantree.count_matrix_tree(built)
-        sel = f"anchor={anchor},targets=" + ";".join(f"{v}x{a}" for v, a in targets)
-        out.append((sel, Fraction(formula - direct), None))
-    return out, 0
+def _averaging(net, rng):
+    g = net.graph
+    out = [("contractions", spantree.averaging_contractions(g)[1], None)]
+    if g.bridges():
+        return out + [None]
+    return out + [("deletions", spantree.averaging_deletions(g)[1], None)]
 
 
 # parts for the union laws (n range, m range, parallel, loop, lengths)
@@ -377,7 +317,7 @@ def _counts(parts):
     )
 
 
-def _eval_unions(graph, rng, samples, exhaustive):
+def _unions(net, rng):
     tcount = spantree.count_matrix_tree
     out: List[Check] = []
 
@@ -435,6 +375,46 @@ def _eval_unions(graph, rng, samples, exhaustive):
     glued = spantree.union_at(g1, [p1, q1, s1], g2, [p2, q2, s2])
     formula = spantree.union_three_vertices(t1, t2, *pairwise, t1pqs, t2pqs)
     check("three-vertex", glued, formula)
+    return out
+
+
+# -- evaluators with their own selection -------------------------------------
+
+
+def _eval_vertex_del(graph, rng, samples, exhaustive):
+    unit = graph.with_unit_lengths()
+    t_direct = spantree.count_matrix_tree(unit)
+    out: List[Check] = []
+    candidates = spantree.removable_vertices(unit)
+    chosen = candidates if exhaustive else candidates[: max(1, samples // 2)]
+    for u in chosen:
+        total, _ = spantree.vertex_deletion_count(unit, u)
+        out.append((f"u={u}", Fraction(t_direct - total), None))
+        neighbors = unit.neighbors_with_multiplicity(u)
+        h = unit.delete_vertex(u)
+        special = sum(a for _, a in neighbors) * spantree.count_matrix_tree(h)
+        if 2 <= len(neighbors) <= 4:
+            for sub, coeff in spantree._subsets(neighbors, 2):
+                special += coeff * spantree.identified_count(h, sub)
+            label = ("two", "three", "four")[len(neighbors) - 2]
+            out.append((f"{label}-neighbor:u={u}", Fraction(t_direct - special), None))
+    return out, 0
+
+
+def _eval_star_aug(graph, rng, samples, exhaustive):
+    unit = graph.with_unit_lengths()
+    verts = unit.sorted_vertices()
+    out: List[Check] = []
+    for _ in range(max(1, samples // 2)):
+        anchor = rng.choice(verts)
+        others = [v for v in verts if v != anchor]
+        rng.shuffle(others)
+        targets = [(v, rng.randint(1, 3)) for v in others[: rng.randint(1, min(3, len(others)))]]
+        formula = spantree.star_augmentation_count(unit, anchor, targets)
+        built = spantree.add_star_edges(unit, anchor, targets)
+        direct = spantree.count_matrix_tree(built)
+        sel = f"anchor={anchor},targets=" + ";".join(f"{v}x{a}" for v, a in targets)
+        out.append((sel, Fraction(formula - direct), None))
     return out, 0
 
 
@@ -442,23 +422,25 @@ REGISTRY: Dict[str, Evaluator] = {
     "magic": _law("p q s t", _magic),
     "shorting": _law(
         "p q s t",
-        lambda net, rng, *sel: _drop(resistnet.shorting_delta(net, *sel)),
-        skip=lambda g, p, q, s, t: p == q,
+        lambda net, rng, p, q, s, t: None
+        if p == q
+        else _drop(resistnet.shorting_delta(net, p, q, s, t)),
     ),
-    "cutting": _law("e s t", _cutting, skip=_is_bridge),
+    "cutting": _law("e s t", _cutting),
     "monotonic1": _law(
         "e s t", lambda net, rng, *sel: _drop(resistnet.contraction_delta(net, *sel))
     ),
     "monotonic2": _law("e s t", _monotonic2),
     "convex": _law(
         "e s t",
-        lambda net, rng, *sel: resistnet.convex_combination_check(net, *sel),
-        skip=_is_bridge,
+        lambda net, rng, e, s, t: None
+        if net.graph.is_bridge(e)
+        else resistnet.convex_combination_check(net, e, s, t),
     ),
-    "vol-transfer": _eval_vol_transfer,
+    "vol-transfer": _law("e u s t", _vol_transfer),
     "euler1": _law("s t", _euler(resistnet.euler_decomposition)),
     "euler2": _law("s t", _euler(resistnet.euler_decomposition_resistance_only)),
-    "foster": _eval_foster,
+    "foster": _law("", _foster, unit=True),
     "derivative": _law("e s t", _derivative),
     "tree-resistance": _law(
         "p q",
@@ -472,7 +454,7 @@ REGISTRY: Dict[str, Evaluator] = {
         - spantree.voltage_from_trees(net.graph, p, q, s),
         unit=True,
     ),
-    "averaging": _eval_averaging,
+    "averaging": _law("", _averaging, unit=True),
     "quadratic": _law(
         "p q s t",
         lambda net, rng, *sel: spantree.identification_quadratic(net.graph, *sel),
@@ -491,7 +473,7 @@ REGISTRY: Dict[str, Evaluator] = {
     "span-euler": _law("s t", _span_euler, unit=True),
     "vertex-del": _eval_vertex_del,
     "star-aug": _eval_star_aug,
-    "unions": _eval_unions,
+    "unions": _law("", _unions),
 }
 
 ALL_TAGS = tuple(sorted(REGISTRY))

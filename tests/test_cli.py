@@ -1,7 +1,14 @@
+import io
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
 import pytest
 
 from ohmtree import spantree
-from ohmtree.cli import main, parse_graph_text
+from ohmtree.cli import EXIT_FAIL, EXIT_PIPE, load_graph, main, parse_graph_text
+from ohmtree.resistnet import Network
 
 TRIANGLE = """\
 # unit triangle
@@ -80,6 +87,9 @@ def test_cmd_voltage(tmp_path, capsys):
 def test_exit_codes(tmp_path, capsys):
     bad = write(tmp_path, "edge e1 a\n", "bad.graph")
     assert main(["resistance", bad, "a", "b"]) == 2
+    undecodable = tmp_path / "bytes.graph"
+    undecodable.write_bytes(b"edge e1 a b\n\xff\n")
+    assert main(["resistance", str(undecodable), "a", "b"]) == 2
 
     split = write(tmp_path, "edge e1 a b\nvertex c\n", "split.graph")
     assert main(["resistance", split, "a", "b"]) == 3
@@ -93,6 +103,61 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["derivative", pendant, "e4", "zz", "a"]) == 4
     assert main(["closed-form", "path", "1"]) == 5
     capsys.readouterr()
+
+
+def test_long_exact_answer_is_printed(tmp_path, capsys):
+    # 3000- and 3001-digit lengths: the exact answer has about 6000 digits,
+    # past the default limit of 4300 on int <-> str conversion
+    text = f"edge e1 a b 1{'0' * 2999}\nedge e2 a b 1{'0' * 2999}7\n"
+    path = write(tmp_path, text)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert main(["resistance", path, "a", "b"]) == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    fraction, decimal = capsys.readouterr().out.splitlines()
+    num, den = fraction.split("/")
+    exact = Network(load_graph(path)).resistance("a", "b")
+    # compare digit by digit: str() of the exact numerator would hit the limit
+    assert len(num) > 4300
+    digits = sum(int(d) * 10**i for i, d in enumerate(reversed(num)))
+    assert exact == Fraction(digits, int(den))
+    # past the float range the 12 digits are rounded in decimal arithmetic
+    assert decimal == "9.09090909091e+2998"
+
+
+def test_import_changes_no_digit_limit():
+    code = (
+        "import sys; get = getattr(sys, 'get_int_max_str_digits', lambda: None); "
+        "before = get(); import ohmtree, ohmtree.cli; assert get() == before"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone away, on a file descriptor of its own."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+def test_broken_pipe_exits_quietly(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "stdout"
+    fd = os.open(target, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        code = main(["verify", "--seed", "17", "--count", "1", "--tags", "magic"])
+        os.write(fd, b"after")  # the descriptor now points at devnull
+    finally:
+        os.close(fd)
+    assert code == EXIT_PIPE != EXIT_FAIL
+    assert capsys.readouterr().err == ""
+    assert target.read_bytes() == b""
 
 
 def test_cmd_spantree_methods(tmp_path, capsys, monkeypatch):

@@ -114,6 +114,29 @@ def test_skipped_selections_are_counted():
     assert result.skipped["cutting"] == 10
 
 
+@pytest.mark.parametrize("kwargs", [{"samples": 6}, {"exhaustive": True}])
+def test_law_without_selection_names_checks_once(kwargs):
+    spec = GraphGenSpec(n_min=3, n_max=4, m_min=3, m_max=5, seed=4)
+    result = run_suite(spec, ("foster",), instances=3, **kwargs)
+    assert [r.selection for r in result.reports] == ["all-edges"] * 3
+    assert result.skipped["foster"] == 0
+
+
+def test_residual_skips_one_part_of_a_selection():
+    # on trees every edge is a bridge: vol-transfer skips its cutting and
+    # contraction transfers but still checks its three shorting placements
+    spec = GraphGenSpec(n_min=4, n_max=4, m_min=3, m_max=3, seed=9)
+    result = run_suite(spec, ("vol-transfer", "averaging"), instances=2, samples=5)
+    transfers = [r for r in result.reports if r.tag == "vol-transfer"]
+    assert result.skipped["vol-transfer"] == 10
+    assert len(transfers) == 3 * 10
+    assert all(r.selection.startswith("short:") for r in transfers)
+    averaging = [r.selection for r in result.reports if r.tag == "averaging"]
+    assert averaging == ["contractions"] * 2
+    assert result.skipped["averaging"] == 2
+    assert result.all_passed()
+
+
 def test_requested_tag_without_checks_fails():
     # on trees cutting skips every selection, so nothing was checked
     spec = GraphGenSpec(n_min=4, n_max=4, m_min=3, m_max=3, seed=9)
