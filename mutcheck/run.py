@@ -209,6 +209,30 @@ MUTANTS = [
         "    return sign, w[0][0] if n else 1\n",
     ),
     (
+        "lazy-pivot-row-stale",
+        "exactnum.py",
+        "        if base[k] != prev:\n",
+        "        if False:\n",
+    ),
+    (
+        "lazy-base-kept-after-update",
+        "exactnum.py",
+        "                base[i] = p\n",
+        "",
+    ),
+    (
+        "lazy-base-unswapped",
+        "exactnum.py",
+        "            base[k], base[piv] = base[piv], base[k]\n",
+        "",
+    ),
+    (
+        "lazy-catch-up-inverted",
+        "exactnum.py",
+        "[x * prev // base[k] for x in top[k:]]",
+        "[x * base[k] // prev for x in top[k:]]",
+    ),
+    (
         "matrix-unreduced",
         "exactnum.py",
         "g = gcd(den, *chain.from_iterable(num))",

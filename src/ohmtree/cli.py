@@ -100,12 +100,12 @@ def load_graph(path: str) -> Multigraph:
 
 def _print_fraction(x: Fraction) -> None:
     print(f"{x.numerator}/{x.denominator}")
-    try:
+    if not x or sys.float_info.min <= abs(x) <= sys.float_info.max:
         print(f"{x.numerator / x.denominator:.12g}")
-    except OverflowError:  # past the float range: round in decimal instead
-        with localcontext() as ctx:
-            ctx.prec = 12
-            print(f"{Decimal(x.numerator) / x.denominator:.12g}")
+        return
+    with localcontext() as ctx:  # outside the normal float range: round in decimal
+        ctx.prec = 12
+        print(f"{Decimal(x.numerator) / x.denominator:.12g}")
 
 
 # subcommand, help, positional names after the file, value on the network;

@@ -7,7 +7,8 @@ against literal zero instead of a tolerance.  A :class:`Matrix` is canonical
 the same way: integer rows over one positive common denominator, in lowest
 terms, with a ``Fraction`` built only when an entry is read.  Its
 :meth:`~Matrix.det` and :meth:`~Matrix.inverse` share one fraction-free
-(Bareiss) forward elimination on the integer rows; the inverse finishes with
+(Bareiss) forward elimination on the integer rows, which skips a row whose
+multiplier is 0 and rescales it lazily; the inverse finishes with
 fraction-free back substitution.  The field-generic Gauss-Jordan routine
 :func:`invert_rows` serves the float mirror of the derivative check and is the
 tests' exact oracle.
@@ -195,24 +196,37 @@ def _eliminate(w: list, n: int) -> tuple:
     columns of the integer rows ``w``, carrying any later columns along; each
     update divides exactly by the previous pivot.  Takes the first nonzero
     pivot of each column, so the pivots and the SingularMatrixError column
-    are those of invert_rows.  Returns the sign of the row permutation and
-    the last pivot, 1 when n is 0.  Row i is left with its pivot U_ii in
-    column i and U_ij to the right of it; entries to its left are stale."""
+    are those of invert_rows.  Rescaling is lazy: a step whose multiplier in
+    a row is 0 would only scale that row by p_k / p_(k-1), so it is skipped;
+    those factors telescope, so the stored row is the eager one times
+    base[i] / prev, base[i] the previous pivot of its last update.  Its next
+    update divides by base[i], not prev; a pivot row is caught up by
+    prev / base[i].  Each division is exact.  Returns the sign of the row
+    permutation and the last pivot, 1 when n is 0.  Row i is left with its
+    pivot U_ii in column i and U_ij to the right of it, the integers of the
+    eager sweep; entries to its left are stale."""
     sign, prev = 1, 1
+    base = [1] * n
     for k in range(n):
         if not w[k][k]:
             piv = next((r for r in range(k + 1, n) if w[r][k]), None)
             if piv is None:
                 raise SingularMatrixError(k)
             w[k], w[piv] = w[piv], w[k]
+            base[k], base[piv] = base[piv], base[k]
             sign = -sign
         top = w[k]
+        if base[k] != prev:
+            top[k:] = [x * prev // base[k] for x in top[k:]]
         p, cols = top[k], range(k + 1, len(top))
         for i in range(k + 1, n):
             row = w[i]
             f = row[k]
-            for j in cols:
-                row[j] = (row[j] * p - f * top[j]) // prev
+            if f:  # divide by the row's own previous pivot: catch-up folded in
+                prev = base[i]
+                for j in cols:
+                    row[j] = (row[j] * p - f * top[j]) // prev
+                base[i] = p
         prev = p
     return sign, prev
 

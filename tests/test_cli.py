@@ -124,6 +124,19 @@ def test_long_exact_answer_is_printed(tmp_path, capsys):
     assert decimal == "9.09090909091e+2998"
 
 
+def test_answer_below_the_float_range_is_rounded_in_decimal(tmp_path, capsys):
+    # 10^-400 underflows int / int true division to 0.0, and 10^-310 to a
+    # subnormal with fewer than 12 correct digits
+    for length, line in ((f"1/1{'0' * 400}", "1e-400"), (f"3/1{'0' * 310}", "3e-310")):
+        path = write(tmp_path, f"edge e1 a b {length}\n")
+        assert main(["resistance", path, "a", "b"]) == 0
+        assert capsys.readouterr().out.splitlines() == [length, line]
+    # inside the normal float range the line is the float's own
+    path = write(tmp_path, "edge e1 a b 2/7\nedge e2 a b 1/3\n")
+    assert main(["resistance", path, "a", "b"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == f"{2 / 13:.12g}"
+
+
 def test_import_changes_no_digit_limit():
     code = (
         "import sys; get = getattr(sys, 'get_int_max_str_digits', lambda: None); "

@@ -3,10 +3,21 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ohmtree.exactnum import Matrix, SingularMatrixError, invert_rows, rational
+from ohmtree.exactnum import (
+    Matrix,
+    SingularMatrixError,
+    _eliminate,
+    invert_rows,
+    rational,
+)
 from ohmtree.graph import Multigraph
 from ohmtree.resistnet import laplacian
+
+
+LENGTHS = st.builds(Fraction, st.integers(1, 4), st.integers(1, 4))
 
 
 def cofactor_det(m: Matrix) -> Fraction:
@@ -29,6 +40,120 @@ def cofactor_det(m: Matrix) -> Fraction:
 
 def random_matrix(rng, n, lo=-4, hi=4):
     return Matrix([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
+
+
+@st.composite
+def grid_laplacians(draw):
+    """The Laplacian of an r x c grid (r and c 1-6) with rational
+    conductances and its vertices in row-major order, so it is banded with
+    bandwidth c: grounded at its first vertex, which makes it invertible,
+    and whole, which makes it singular in its last column."""
+    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    n = r * c
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for v in range(n):
+        right = [v + 1] if (v + 1) % c else []
+        below = [v + c] if v + c < n else []
+        for w in right + below:
+            g = draw(LENGTHS)
+            rows[v][v] += g
+            rows[w][w] += g
+            rows[v][w] -= g
+            rows[w][v] -= g
+    return [[row[1:] for row in rows[1:]], rows]
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A mostly zero n x n matrix of Fractions (n 2-6) whose top-left entry
+    is zero and some later entry of the first column is not, so elimination
+    must swap rows for its first pivot; later columns may need swaps too, or
+    have no pivot at all."""
+    n = draw(st.integers(2, 6))
+    sign = st.sampled_from([-1, 1])
+    nonzero = st.builds(lambda s, x: s * x, sign, LENGTHS)
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), nonzero)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    rows[0][0] = Fraction(0)
+    rows[draw(st.integers(1, n - 1))][0] = draw(nonzero)
+    return [rows]
+
+
+def eager_eliminate(w: list, n: int) -> tuple:
+    """The Bareiss forward sweep that updates every row below the pivot at
+    every step, also a row whose multiplier is 0: the reference for the lazy
+    sweep of ``_eliminate``, with the same pivots and return value."""
+    sign, prev = 1, 1
+    for k in range(n):
+        if not w[k][k]:
+            piv = next((r for r in range(k + 1, n) if w[r][k]), None)
+            if piv is None:
+                raise SingularMatrixError(k)
+            w[k], w[piv] = w[piv], w[k]
+            sign = -sign
+        top, p = w[k], w[k][k]
+        for row in w[k + 1 : n]:
+            f = row[k]
+            pairs = zip(row[k + 1 :], top[k + 1 :])
+            row[k + 1 :] = [(x * p - f * y) // prev for x, y in pairs]
+        prev = p
+    return sign, prev
+
+
+def _sweep(eliminate, w: list, n: int):
+    """Sign, last pivot and U | B, each row from its diagonal on, that
+    ``eliminate`` leaves in a copy of ``w``; or the SingularMatrixError column."""
+    w = [list(row) for row in w]
+    try:
+        sign, last = eliminate(w, n)
+    except SingularMatrixError as exc:
+        return exc.pivot
+    return sign, last, [row[i:] for i, row in enumerate(w)]
+
+
+def _assert_sweeps_agree(rows) -> None:
+    """The lazy and the eager sweep agree on the integer rows N of ``rows``
+    (as ``det`` sweeps them) and on N | d I (as ``inverse`` does)."""
+    m = Matrix(rows)
+    num, n, d = m.numerators, m.rows, m.denominator
+    beside = [[*r, *(d * (i == j) for j in range(n))] for i, r in enumerate(num)]
+    for w in (num, beside):
+        assert _sweep(_eliminate, w, n) == _sweep(eager_eliminate, w, n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(matrices=st.one_of(grid_laplacians(), sparse_matrices()))
+def test_lazy_sweep_matches_eager(matrices):
+    """Grid Laplacians (grounded and whole) and sparse matrices that need row
+    swaps: a row skipped at some steps and caught up later holds exactly the
+    integers of the sweep that rescales it at every step."""
+    for rows in matrices:
+        _assert_sweeps_agree(rows)
+
+
+def test_lazy_sweep_catches_up_untouched_rows():
+    # block-diagonal: no row of the upper-triangular second block is updated
+    # while the first block is eliminated, nor later, since each of its
+    # multipliers is 0; each row is caught up only when it becomes the pivot
+    # row, the last one included, whose pivot is the determinant
+    rows = [
+        [2, 1, 0, 0, 0],
+        [1, 3, 0, 0, 0],
+        [0, 0, 3, 1, 0],
+        [0, 0, 0, 2, 1],
+        [0, 0, 0, 0, 5],
+    ]
+    _assert_sweeps_agree(rows)
+    w = [list(row) for row in rows]
+    assert _eliminate(w, 5) == (1, 150) and Matrix(rows).det() == 150
+    assert w[4] == [0, 0, 0, 0, 150]
+    exact = [[Fraction(x) for x in row] for row in rows]
+    assert Matrix(rows).inverse() == Matrix(invert_rows(exact, Fraction(1)))
+    # the second pivot needs a row swap: the row skipped at the first step
+    # trades places, and bases, with the row updated there
+    rows = [[2, 0, 2], [0, 0, 3], [4, 5, 6]]
+    _assert_sweeps_agree(rows)
+    assert Matrix(rows).det() == cofactor_det(Matrix(rows)) == -30
 
 
 def test_rational_coercion():
@@ -159,6 +284,7 @@ def test_inverse_matches_gauss_jordan():
     grounded = laplacian(grid).drop(0, 0)
     fraction_free, gauss_jordan = _invert_both([grounded.row(i) for i in range(48)])
     assert fraction_free == gauss_jordan
+    _assert_sweeps_agree([grounded.row(i) for i in range(48)])
 
 
 def test_float_inverse_zero_leading_pivot():

@@ -15,14 +15,13 @@ from math import gcd, prod
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_exactnum import cofactor_det
+from test_exactnum import LENGTHS, cofactor_det, grid_laplacians, sparse_matrices
 
 from ohmtree import resistnet, spantree
 from ohmtree.exactnum import Matrix, SingularMatrixError, invert_rows
 from ohmtree.graph import MergedVertex, Multigraph
 from ohmtree.resistnet import Network
 
-LENGTHS = st.builds(Fraction, st.integers(1, 4), st.integers(1, 4))
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
 
 
@@ -339,43 +338,6 @@ def test_matrix_canonical_examples():
         inverse = Matrix(rows).inverse()
         ref = Matrix(invert_rows([[Fraction(x) for x in r] for r in rows], Fraction(1)))
         assert _canonical(inverse) == ref and hash(inverse) == hash(ref)
-
-
-@st.composite
-def grid_laplacians(draw):
-    """The Laplacian of an r x c grid (r and c 1-6) with rational
-    conductances and its vertices in row-major order, so it is banded with
-    bandwidth c: grounded at its first vertex, which makes it invertible,
-    and whole, which makes it singular in its last column."""
-    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    n = r * c
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for v in range(n):
-        right = [v + 1] if (v + 1) % c else []
-        below = [v + c] if v + c < n else []
-        for w in right + below:
-            g = draw(LENGTHS)
-            rows[v][v] += g
-            rows[w][w] += g
-            rows[v][w] -= g
-            rows[w][v] -= g
-    return [[row[1:] for row in rows[1:]], rows]
-
-
-@st.composite
-def sparse_matrices(draw):
-    """A mostly zero n x n matrix of Fractions (n 2-6) whose top-left entry
-    is zero and some later entry of the first column is not, so elimination
-    must swap rows for its first pivot; later columns may need swaps too, or
-    have no pivot at all."""
-    n = draw(st.integers(2, 6))
-    sign = st.sampled_from([-1, 1])
-    nonzero = st.builds(lambda s, x: s * x, sign, LENGTHS)
-    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), nonzero)
-    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
-    rows[0][0] = Fraction(0)
-    rows[draw(st.integers(1, n - 1))][0] = draw(nonzero)
-    return [rows]
 
 
 def _fraction_det(rows):
