@@ -53,10 +53,10 @@ MUTANTS = [
         "identified_count(h, (s, t))",
     ),
     (
-        "identified-zero",
+        "identified-merged-nonzero",
         "spantree.py",
-        "            return 0\n        current, step",
-        "            continue\n        current, step",
+        "if len(block) < 2 or any(block <= b for b in blocks):",
+        "if len(block) < 2:",
     ),
     (
         "bracket-sign",
@@ -281,10 +281,10 @@ MUTANTS = [
         "return memo[next(iter(memo))]",
     ),
     (
-        "bridge-lowlink-at-equal",
+        "bridge-separates-wrong-pair",
         "graph.py",
-        "bridge[via] = low[w] > disc[p]",
-        "bridge[via] = low[w] >= disc[p]",
+        "memo[e] = self.separates(e, *self.endpoints(e))",
+        "memo[e] = self.separates(e, self.endpoints(e)[0], self.sorted_vertices()[0])",
     ),
     (
         "identify-kept-any-partition",

@@ -19,11 +19,13 @@ the parent's edges, which keeps their order, without re-running the
 constructor's checks.
 
 A graph never changes, so it computes its incidence lists, its
-connectivity and every edge's bridge answer (one lowlink pass, Tarjan 1974)
-once, on first use, and keeps them.  :meth:`Multigraph.keep` keeps any
-other answer computed from the graph alone; ``resistnet`` keeps its integer
-Laplacian there.  ``identify`` keeps its last ``KEPT_IDENTIFICATIONS``
-results, one per partition, and hands out a fresh copy of the rename map.
+connectivity and each edge's bridge answer once, on first use, and keeps
+them.  One walk, ``_reach``, answers connectivity, components, separation
+and bridges: an edge is a bridge iff it separates its own endpoints.
+:meth:`Multigraph.keep` keeps any other answer computed from the graph
+alone; ``resistnet`` keeps its integer Laplacian there.  ``identify`` keeps
+its last ``KEPT_IDENTIFICATIONS`` results, one per partition, and hands out
+a fresh copy of the rename map.
 A graph keeps no G - e: the deletion-contraction recursion would then hold
 its whole tree through the caller's graph.
 """
@@ -179,12 +181,12 @@ class Multigraph:
         return g
 
     def _adopt(self, index, edges) -> None:
-        # None marks a fact not yet computed; each is filled on first use.
+        # None, or an edge absent from _bridge, marks a fact still to compute.
         self._index = index
         self._edges = edges
         self._incident = None
         self._connected = None
-        self._bridge = None
+        self._bridge: Dict[EdgeId, bool] = {}
         self._identified: Dict[frozenset, tuple] = {}  # oldest use first
         self._kept: dict = {}
 
@@ -334,46 +336,10 @@ class Multigraph:
 
     def is_bridge(self, e: EdgeId) -> bool:
         """True iff deleting the edge disconnects its endpoints."""
-        self.edge(e)
         memo = self._bridge
-        if memo is None:
-            memo = self._bridge = self._lowlink_bridges()
+        if e not in memo:
+            memo[e] = self.separates(e, *self.endpoints(e))
         return memo[e]
-
-    def _lowlink_bridges(self) -> Dict[EdgeId, bool]:
-        """Every edge's bridge answer from one depth-first pass per component
-        (Tarjan, Inf. Proc. Lett. 1974).  ``low[w]`` is the least discovery
-        index reachable from w's subtree by one edge other than the tree edge
-        into w; the tree edge (p, w) is a bridge iff low[w] > disc[p].  The
-        walk skips that tree edge by id, so a parallel edge counts as a
-        back edge, and a self-loop never lowers anything."""
-        incident, edges = self._incidence(), self._edges
-        bridge = dict.fromkeys(edges, False)
-        disc: Dict[VertexId, int] = {}
-        low: Dict[VertexId, int] = {}
-        for root in self._index:
-            if root in disc:
-                continue
-            disc[root] = low[root] = len(disc)
-            stack = [(root, None, iter(incident[root]))]
-            while stack:
-                w, via, rest = stack[-1]
-                for eid in rest:
-                    if eid == via:
-                        continue
-                    o = edges[eid].other_end(w)
-                    if o not in disc:
-                        disc[o] = low[o] = len(disc)
-                        stack.append((o, eid, iter(incident[o])))
-                        break
-                    low[w] = min(low[w], disc[o])
-                else:
-                    stack.pop()
-                    if stack:
-                        p = stack[-1][0]
-                        low[p] = min(low[p], low[w])
-                        bridge[via] = low[w] > disc[p]
-        return bridge
 
     def bridges(self) -> list:
         return [e for e in self.edge_ids() if self.is_bridge(e)]
@@ -392,7 +358,7 @@ class Multigraph:
         bridge, ``"non-bridge"`` for a self-loop or an edge on a cycle."""
         self.position(s)
         self.position(t)
-        if self.edge(e).is_loop() or not self.is_bridge(e):
+        if not self.is_bridge(e):
             return "non-bridge"
         return "bridge-on-path" if self.separates(e, s, t) else "bridge-off-path"
 

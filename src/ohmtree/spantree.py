@@ -146,22 +146,22 @@ def identified_count(graph: Multigraph, *groups: Sequence[VertexId]) -> int:
     makes the whole count zero: it stands for an identification of a vertex
     with itself, which the formulas count as zero because the matching
     resistance factor vanishes.  Groups overlapping in a vertex merge
-    transitively, as identification of the underlying points would.  Every
+    transitively, as identification of the underlying points would, so the
+    groups fold into disjoint blocks that are identified at once.  Every
     member of every group is checked first: an unknown one raises."""
     groups = [tuple(group) for group in groups]
     for v in (v for group in groups for v in group):
         graph.position(v)
-    current = graph
-    renames = {v: v for v in graph.vertices()}
+    blocks: List[set] = []
     for members in groups:
         if len(members) < 2:
             continue  # singleton group is a no-op
-        mapped = {renames[m] for m in members}
-        if len(mapped) < 2:
+        block = set(members)
+        if len(block) < 2 or any(block <= b for b in blocks):
             return 0
-        current, step = current.identify([tuple(mapped)])
-        renames = {v: step[cur] for v, cur in renames.items()}
-    return count_matrix_tree(current)
+        touched = [b for b in blocks if b & block]
+        blocks = [b for b in blocks if b not in touched] + [block.union(*touched)]
+    return count_matrix_tree(graph.identify(blocks)[0])
 
 
 def contracted_count(graph: Multigraph, e: EdgeId) -> int:

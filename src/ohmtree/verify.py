@@ -493,8 +493,11 @@ def run_suite(
     graphs of at most five vertices).  Reports come back in deterministic
     order; ``skipped`` counts selections filtered by a hypothesis.  A
     requested tag that ends up with no check at all is listed in
-    ``unchecked_tags`` and makes ``all_passed()`` false.
+    ``unchecked_tags`` and makes ``all_passed()`` false.  A negative
+    ``instances`` or ``samples`` raises ``ValueError``.
     """
+    if instances < 0 or samples < 0:
+        raise ValueError(f"instances and samples must be >= 0, got {instances}, {samples}")
     tag_list = list(tags)
     unknown = [t for t in tag_list if t not in REGISTRY]
     if unknown:

@@ -281,6 +281,14 @@ def test_cmd_verify_without_checks_fails(capsys, args, unchecked):
     assert f"no identity checked for tags: {unchecked}" in captured.err
 
 
+@pytest.mark.parametrize("option", ["--count", "--samples"])
+def test_cmd_verify_rejects_negative_parameters(capsys, option):
+    assert main(["verify", option, "-1", "--tags", "magic"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be >= 0, got" in captured.err
+
+
 def test_cmd_verify_unknown_tag(capsys):
     assert main(["verify", "--tags", "bogus"]) == 5
     capsys.readouterr()

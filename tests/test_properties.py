@@ -3,10 +3,11 @@ every small connected multigraph Hypothesis generates, the reachability
 queries and the order, connectivity and bridge answers a graph keeps agree
 with a fresh sort and a union-find oracle on any small multigraph, a
 surgered graph and the facts it inherits equal a graph built afresh from
-its vertices and edges, an exact ``Matrix`` is canonical whatever form its
-entries are written in, its one elimination agrees with Fraction arithmetic
-on banded grid Laplacians and on matrices that need row swaps, and a failure
-shrinks to the smallest counterexample graph."""
+its vertices and edges, the identified count of overlapping groups equals
+identifying one group at a time, an exact ``Matrix`` is canonical whatever
+form its entries are written in, its one elimination agrees with Fraction
+arithmetic on banded grid Laplacians and on matrices that need row swaps,
+and a failure shrinks to the smallest counterexample graph."""
 
 from fractions import Fraction
 from itertools import chain
@@ -267,6 +268,35 @@ def test_surgered_graphs_match_fresh_builds(g, data):
         assert g.identify(part)[1] == {x: x for x in g.vertices()} | {
             x: MergedVertex(group) for group in part if len(group) > 1 for x in group
         }
+
+
+def _identified_one_group_at_a_time(graph, *groups):
+    """t(G_{group, group, ...}) by identifying one group at a time and
+    tracking where each original vertex went: the reference for
+    ``spantree.identified_count``."""
+    current = graph
+    renames = {v: v for v in graph.vertices()}
+    for members in map(tuple, groups):
+        if len(members) < 2:
+            continue  # singleton group is a no-op
+        mapped = {renames[m] for m in members}
+        if len(mapped) < 2:
+            return 0
+        current, step = current.identify([tuple(mapped)])
+        renames = {v: step[cur] for v, cur in renames.items()}
+    return spantree.count_matrix_tree(current)
+
+
+@settings(SETTINGS, max_examples=150)
+@given(g=any_graphs(), data=st.data())
+def test_identified_count_matches_one_group_at_a_time(g, data):
+    """Zero to three groups of one to three vertices drawn with repeats, so
+    singleton groups, a vertex listed twice, a group inside an earlier
+    merge and chains of overlapping groups all occur."""
+    vertex = st.sampled_from(g.sorted_vertices())
+    groups = data.draw(st.lists(st.lists(vertex, min_size=1, max_size=3), max_size=3))
+    expected = _identified_one_group_at_a_time(g, *groups)
+    assert spantree.identified_count(g, *groups) == expected
 
 
 @st.composite
