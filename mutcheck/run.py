@@ -233,6 +233,18 @@ MUTANTS = [
         "[x * base[k] // prev for x in top[k:]]",
     ),
     (
+        "memo-key-without-kind",
+        "exactnum.py",
+        "key = (kind, matrix)",
+        "key = matrix",
+    ),
+    (
+        "memo-left-on-after-scope",
+        "exactnum.py",
+        "        _memo = outer\n",
+        "        pass\n",
+    ),
+    (
         "matrix-unreduced",
         "exactnum.py",
         "g = gcd(den, *chain.from_iterable(num))",
@@ -267,6 +279,12 @@ MUTANTS = [
         "exactnum.py",
         "for j in range(i + 1, n):",
         "for j in range(i + 1, min(i + 2, n)):",
+    ),
+    (
+        "dc-deletion-unsearched",
+        "spantree.py",
+        "(g.delete_edge(e), True)",
+        "(g.delete_edge(e), False)",
     ),
     (
         "laplacian-diagonal",

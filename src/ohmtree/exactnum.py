@@ -9,20 +9,54 @@ terms, with a ``Fraction`` built only when an entry is read.  Its
 :meth:`~Matrix.det` and :meth:`~Matrix.inverse` share one fraction-free
 (Bareiss) forward elimination on the integer rows, which skips a row whose
 multiplier is 0 and rescales it lazily; the inverse finishes with
-fraction-free back substitution.  The field-generic Gauss-Jordan routine
+fraction-free back substitution.  Inside :func:`remembering`, which
+``verify.run_suite`` opens around each instance, both give back the answer
+already computed for an equal matrix; outside it they compute every time and
+keep nothing.  The field-generic Gauss-Jordan routine
 :func:`invert_rows` serves the float mirror of the derivative check and is the
 tests' exact oracle.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
+
+# (kind, Matrix) -> answer inside remembering(), None outside it
+_memo: Optional[dict] = None
+
+
+@contextmanager
+def remembering() -> Iterator[None]:
+    """Within this block, Matrix.det and Matrix.inverse give back the answer
+    already computed for an equal matrix; a nested block shares the memo,
+    and it is dropped when the outermost block exits.  The dict compares
+    keys with ``==`` and Matrix equality is canonical, so a hash collision
+    is never taken for identity."""
+    global _memo
+    outer, _memo = _memo, {} if _memo is None else _memo
+    try:
+        yield
+    finally:
+        _memo = outer
+
+
+def _remember(kind: str, matrix: "Matrix", compute: Callable[[], object]):
+    """``compute()``, or the memo's answer to this kind of question about an
+    equal matrix when it is on; no answer is None, and an error is not kept."""
+    if _memo is None:
+        return compute()
+    key = (kind, matrix)
+    answer = _memo.get(key)
+    if answer is None:
+        answer = _memo[key] = compute()
+    return answer
 
 
 def rational(value: Union[int, str, Fraction]) -> Fraction:
@@ -155,6 +189,16 @@ class Matrix:
             raise ValueError(f"not square: {self.rows}x{self.cols}")
 
     def det(self) -> Fraction:
+        """Exact determinant, remembered for an equal matrix inside
+        :func:`remembering`."""
+        return _remember("det", self, self._det)
+
+    def inverse(self) -> "Matrix":
+        """Exact inverse, remembered for an equal matrix inside
+        :func:`remembering`; a singular matrix raises SingularMatrixError."""
+        return _remember("inverse", self, self._inverse)
+
+    def _det(self) -> Fraction:
         """Exact determinant of N / d: the forward sweep of :func:`_eliminate`
         on the integer rows N leaves det(N) = sign * last pivot, divided by
         d to the n-th power; 0 when a column has no pivot.  The empty 0x0
@@ -166,7 +210,7 @@ class Matrix:
             return Fraction(0)
         return Fraction(sign * last, self._den ** self.rows)
 
-    def inverse(self) -> "Matrix":
+    def _inverse(self) -> "Matrix":
         """Exact inverse A^-1 of A = N / d: the forward sweep of
         :func:`_eliminate` turns N | d I into U | B, and fraction-free back
         substitution solves U Y = D B from the bottom row up, D the last

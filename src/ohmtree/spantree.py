@@ -46,8 +46,13 @@ def count_matrix_tree(graph: Multigraph) -> int:
     """
     if graph.n == 0:
         raise GraphError("graph has no vertices")
+    return int(graph.keep(_unit_cofactor).det())
+
+
+def _unit_cofactor(graph: Multigraph) -> Matrix:
+    """The unit Laplacian without its first row and column, kept per graph."""
     rows = graph.laplacian_rows(lambda e: 1)
-    return int(Matrix.from_integer_rows([row[1:] for row in rows[1:]], 1).det())
+    return Matrix.from_integer_rows([row[1:] for row in rows[1:]], 1)
 
 
 DC_NODE_BUDGET = 100_000
@@ -64,23 +69,25 @@ def count_deletion_contraction(graph: Multigraph) -> int:
 
     Self-loops are stripped and bridges contracted first (a bridge sits in
     every spanning tree), then the recursion branches on an edge at a
-    maximum-degree vertex.  No memoization; the recursion visits about
-    2 t(G) nodes and raises :class:`PreconditionError` past
-    ``DC_NODE_BUDGET`` of them.
+    maximum-degree vertex.  Only a deletion can create a bridge, so only the
+    root and the deletion branch are searched for one.  No memoization; on a
+    connected graph the recursion visits 2 t(G) - 1 nodes, and it raises
+    :class:`PreconditionError` past ``DC_NODE_BUDGET`` of them.
     """
     if graph.n == 0:
         raise GraphError("graph has no vertices")
-    total, nodes, pending = 0, 0, [graph]
+    total, nodes, pending = 0, 0, [(graph, True)]
     while pending:
         nodes += 1
         if nodes > DC_NODE_BUDGET:
             raise PreconditionError(
                 f"deletion-contraction budget exceeded: > {DC_NODE_BUDGET} nodes"
             )
-        g = _without_loops(pending.pop())
+        g, may_bridge = pending.pop()
+        g = _without_loops(g)
         if not g.is_connected():
             continue
-        while (
+        while may_bridge and (
             bridge := next((e for e in g.edge_ids() if g.is_bridge(e)), None)
         ) is not None:
             g = _without_loops(g.contract_edge(bridge)[0])
@@ -89,7 +96,7 @@ def count_deletion_contraction(graph: Multigraph) -> int:
             continue
         busiest = max(g.sorted_vertices(), key=lambda v: (g.degree(v), g.position(v)))
         e = g.incident(busiest)[0]  # incidence lists are in sorted id order
-        pending += [g.delete_edge(e), g.contract_edge(e)[0]]
+        pending += [(g.delete_edge(e), True), (g.contract_edge(e)[0], False)]
     return total
 
 

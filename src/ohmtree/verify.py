@@ -32,6 +32,7 @@ from itertools import count as _counter
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import resistnet, spantree
+from .exactnum import remembering
 from .graph import Multigraph, path_graph
 from .resistnet import Network
 
@@ -494,7 +495,9 @@ def run_suite(
     order; ``skipped`` counts selections filtered by a hypothesis.  A
     requested tag that ends up with no check at all is listed in
     ``unchecked_tags`` and makes ``all_passed()`` false.  A negative
-    ``instances`` or ``samples`` raises ``ValueError``.
+    ``instances`` or ``samples`` raises ``ValueError``.  Each instance runs
+    inside :func:`exactnum.remembering`, so an equal matrix is eliminated
+    once per instance.
     """
     if instances < 0 or samples < 0:
         raise ValueError(f"instances and samples must be >= 0, got {instances}, {samples}")
@@ -507,14 +510,15 @@ def run_suite(
     for index in range(instances):
         g = generate(spec, index)
         h = g.graph_hash()
-        for tag in tag_list:
-            rng = random.Random(f"{spec.seed}:{index}:{tag}")
-            checks, skip = REGISTRY[tag](g, rng, samples, exhaustive)
-            skipped[tag] += skip
-            for selection, residual, passed in checks:
-                if passed is None:
-                    passed = residual == 0
-                reports.append(
-                    IdentityReport(tag, h, selection, Fraction(residual), passed)
-                )
+        with remembering():
+            for tag in tag_list:
+                rng = random.Random(f"{spec.seed}:{index}:{tag}")
+                checks, skip = REGISTRY[tag](g, rng, samples, exhaustive)
+                skipped[tag] += skip
+                for selection, residual, passed in checks:
+                    if passed is None:
+                        passed = residual == 0
+                    reports.append(
+                        IdentityReport(tag, h, selection, Fraction(residual), passed)
+                    )
     return SuiteResult(reports, skipped)

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ohmtree import exactnum, spantree
 from ohmtree.exactnum import (
     Matrix,
     SingularMatrixError,
     _eliminate,
     invert_rows,
     rational,
+    remembering,
 )
 from ohmtree.graph import Multigraph
 from ohmtree.resistnet import laplacian
@@ -233,6 +235,66 @@ def test_inverse_singular_reports_pivot():
     with pytest.raises(SingularMatrixError) as info:
         invert_rows([[1.0, 2.0], [2.0, 4.0]], 1.0)
     assert info.value.pivot == 1
+
+
+def count_eliminations(monkeypatch):
+    """A list whose length counts the runs of exactnum._eliminate from now on."""
+    runs, eliminate = [], exactnum._eliminate
+
+    def counted(*args):
+        runs.append(None)
+        return eliminate(*args)
+
+    monkeypatch.setattr(exactnum, "_eliminate", counted)
+    return runs
+
+
+@pytest.mark.parametrize("det_first", [True, False])
+def test_remembering_keeps_det_and_inverse_of_one_matrix_apart(det_first):
+    # unit lengths: the grounded Laplacian is the tree-count cofactor, so one
+    # scope asks both questions of one matrix
+    g = Multigraph(
+        "abcd", [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "d"),
+                 ("e4", "d", "a"), ("e5", "a", "c"), ("e6", "a", "c")]
+    )
+    grounded = laplacian(g).drop(0, 0)
+    assert grounded == g.keep(spantree._unit_cofactor)
+    rows = [list(grounded.row(i)) for i in range(grounded.rows)]
+    expected = Matrix(invert_rows(rows, Fraction(1)))
+    with remembering():
+        for _ in range(2):
+            if det_first:
+                assert spantree.count_matrix_tree(g) == 12
+            assert Matrix(rows).inverse() == expected
+            assert grounded.det() == 12
+    assert exactnum._memo is None
+
+
+def test_remembering_computes_an_equal_matrix_once(monkeypatch):
+    runs = count_eliminations(monkeypatch)
+    a, b = Matrix([[2, 1], [1, 2]]), Matrix([[Fraction(4, 2), 1], [1, 2]])
+    assert a is not b and a == b
+    a.det(), b.det()
+    assert len(runs) == 2  # off outside a scope: nothing is kept
+    with remembering():
+        assert a.det() == b.det() == 3
+        assert a.inverse() == b.inverse() == Matrix([[2, -1], [-1, 2]]) * Fraction(1, 3)
+        with remembering():  # a nested scope shares the outer memo
+            assert b.det() == 3
+        assert exactnum._memo is not None
+        assert Matrix([[3, 1], [1, 2]]).det() == 5
+    assert len(runs) == 5
+    assert exactnum._memo is None
+
+
+def test_remembering_stores_no_singular_error(monkeypatch):
+    runs = count_eliminations(monkeypatch)
+    with remembering():
+        for _ in range(2):
+            with pytest.raises(SingularMatrixError):
+                Matrix([[1, 2], [2, 4]]).inverse()
+        assert Matrix([[1, 2], [2, 4]]).det() == 0
+    assert len(runs) == 3
 
 
 def _invert_both(rows):

@@ -299,6 +299,12 @@ def test_identified_count_matches_one_group_at_a_time(g, data):
     assert spantree.identified_count(g, *groups) == expected
 
 
+@settings(SETTINGS, max_examples=150)
+@given(g=any_graphs())
+def test_deletion_contraction_matches_matrix_tree(g):
+    assert spantree.count_deletion_contraction(g) == spantree.count_matrix_tree(g)
+
+
 @st.composite
 def rational_matrices(draw):
     """A square matrix of Fractions with n 0-5, negative entries, maybe a

@@ -83,6 +83,32 @@ def test_deletion_contraction_examples():
     assert count_matrix_tree(cycle_graph(3).delete_edge("e1")) == 1
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        cycle_graph(5),
+        complete_graph(4),
+        wheel_graph(5),
+        path_graph(4),
+        # parallel edges, a loop and a pendant bridge
+        Multigraph(
+            "abcd",
+            [("e1", "a", "b"), ("e2", "a", "b"), ("e3", "b", "c"), ("e4", "c", "a"),
+             ("e5", "c", "c"), ("e6", "c", "d")],
+        ),
+    ],
+)
+def test_deletion_contraction_visits_2t_minus_1_nodes(monkeypatch, g):
+    # every node is connected and, once its bridges are contracted,
+    # bridgeless: each branches into two such nodes and each leaf is one tree
+    t = count_matrix_tree(g)
+    monkeypatch.setattr(spantree, "DC_NODE_BUDGET", 2 * t - 1)
+    assert count_deletion_contraction(g) == t
+    monkeypatch.setattr(spantree, "DC_NODE_BUDGET", 2 * t - 2)
+    with pytest.raises(PreconditionError):
+        count_deletion_contraction(g)
+
+
 def test_enumeration_examples():
     assert count_enumeration(cycle_graph(5)) == 5
     assert count_enumeration(banana_graph(3)) == 3

@@ -2,7 +2,9 @@ import hashlib
 import random
 
 import pytest
+from test_exactnum import count_eliminations
 
+from ohmtree import exactnum, verify
 from ohmtree.verify import (
     ALL_TAGS,
     REGISTRY,
@@ -173,6 +175,37 @@ def _report_digest(result):
 def test_golden_reports(spec, kwargs, expected):
     # report lines are the contract: a refactor must reproduce them exactly
     assert _report_digest(run_suite(spec, **kwargs)) == expected
+
+
+@pytest.mark.parametrize(
+    "spec, kwargs, expected",
+    [
+        # 61 distinct det plus 54 distinct inverse matrices; 6687 without the memo
+        (
+            GraphGenSpec(seed=3, n_min=4, n_max=4, m_min=6, m_max=6),
+            {"instances": 1, "exhaustive": True},
+            115,
+        ),
+        (GraphGenSpec(seed=17), {}, 1459),  # 8416 without the memo
+    ],
+)
+def test_suite_eliminates_each_equal_matrix_once(monkeypatch, spec, kwargs, expected):
+    runs = count_eliminations(monkeypatch)
+    run_suite(spec, **kwargs)
+    assert len(runs) == expected
+    assert exactnum._memo is None
+
+
+def test_suite_drops_the_memo_when_an_evaluator_raises(monkeypatch):
+    def broken(g, rng, samples, exhaustive):
+        verify.spantree.count_matrix_tree(g)
+        assert exactnum._memo  # on inside the instance, holding that det
+        raise RuntimeError("evaluator failed")
+
+    monkeypatch.setitem(REGISTRY, "magic", broken)
+    with pytest.raises(RuntimeError, match="evaluator failed"):
+        run_suite(GraphGenSpec(seed=5), tags=("magic",), instances=1)
+    assert exactnum._memo is None
 
 
 def test_report_line_format():
