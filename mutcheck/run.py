@@ -287,6 +287,12 @@ MUTANTS = [
         "(g.delete_edge(e), False)",
     ),
     (
+        "dc-root-connectivity-unchecked",
+        "spantree.py",
+        "    if not graph.is_connected():\n        return 0\n    total, nodes",
+        "    total, nodes",
+    ),
+    (
         "laplacian-diagonal",
         "graph.py",
         "rows[j][j] += c\n",
@@ -363,6 +369,12 @@ MUTANTS = [
         "verify.py",
         "((u, t), (p, t), (u, p))",
         "((u, t), (p, t), (u, t))",
+    ),
+    (
+        "lazy-unknown-name-resolves",
+        "__init__.py",
+        'raise AttributeError(f"module {__name__!r} has no attribute {name!r}")',
+        "return None",
     ),
 ]
 

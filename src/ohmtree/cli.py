@@ -23,7 +23,7 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from . import resistnet, spantree, verify
+from . import resistnet
 from .graph import (
     DisconnectedError,
     GraphError,
@@ -134,6 +134,8 @@ def cmd_value(args) -> int:
 
 
 def cmd_spantree(args) -> int:
+    from . import spantree
+
     g = load_graph(args.file)
     if args.method == "matrix":
         t = spantree.count_matrix_tree(g)
@@ -184,11 +186,15 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_closed_form(args) -> int:
+    from . import spantree
+
     print(spantree.closed_form(args.family, args.n, args.a))
     return 0
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     tags = args.tags.split(",") if args.tags else list(verify.ALL_TAGS)
     spec = verify.GraphGenSpec(seed=args.seed)
     result = verify.run_suite(

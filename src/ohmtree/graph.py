@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from hashlib import sha256
 from typing import Callable, Dict, Hashable, Iterable, List, NamedTuple, Set, Tuple
 
 from .exactnum import rational
@@ -494,6 +493,8 @@ class Multigraph:
         return "\n".join(lines) + "\n"
 
     def graph_hash(self) -> str:
+        from hashlib import sha256
+
         return sha256(self.canonical_text().encode()).hexdigest()[:12]
 
     def __eq__(self, other) -> bool:

@@ -70,12 +70,16 @@ def count_deletion_contraction(graph: Multigraph) -> int:
     Self-loops are stripped and bridges contracted first (a bridge sits in
     every spanning tree), then the recursion branches on an edge at a
     maximum-degree vertex.  Only a deletion can create a bridge, so only the
-    root and the deletion branch are searched for one.  No memoization; on a
+    root and the deletion branch are searched for one.  Connectivity is
+    checked once, at the root: a disconnected graph has no spanning tree, and
+    the recursion deletes only non-bridges.  No memoization; on a
     connected graph the recursion visits 2 t(G) - 1 nodes, and it raises
     :class:`PreconditionError` past ``DC_NODE_BUDGET`` of them.
     """
     if graph.n == 0:
         raise GraphError("graph has no vertices")
+    if not graph.is_connected():
+        return 0
     total, nodes, pending = 0, 0, [(graph, True)]
     while pending:
         nodes += 1
@@ -85,8 +89,6 @@ def count_deletion_contraction(graph: Multigraph) -> int:
             )
         g, may_bridge = pending.pop()
         g = _without_loops(g)
-        if not g.is_connected():
-            continue
         while may_bridge and (
             bridge := next((e for e in g.edge_ids() if g.is_bridge(e)), None)
         ) is not None:

@@ -1,3 +1,4 @@
+import importlib
 import os
 import random
 import subprocess
@@ -416,6 +417,80 @@ def test_numpy_is_never_loaded():
     ])
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_a_command_loads_only_what_it_runs(tmp_path):
+    # the package loads a submodule on the first lookup of one of its names
+    src = str(Path(ohmtree.__file__).resolve().parents[1])
+    path = tmp_path / "triangle.graph"
+    path.write_text("edge e1 a b\nedge e2 b c\nedge e3 c a\n")
+    code = "\n".join([
+        "import sys, ohmtree",
+        "assert set(ohmtree.__all__) <= set(dir(ohmtree))",
+        "from ohmtree.cli import main",
+        "assert main(sys.argv[1:]) == 0",
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'ohmtree'))",
+    ])
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def loaded(*argv):
+        out = subprocess.run(
+            [sys.executable, "-c", code, argv[0], str(path), *argv[1:]],
+            env=env, check=True, capture_output=True, text=True,
+        ).stdout
+        return out.splitlines()[-1].split()
+
+    assert loaded("resistance", "a", "b") == [
+        "ohmtree", "ohmtree.cli", "ohmtree.exactnum", "ohmtree.graph",
+        "ohmtree.reduction", "ohmtree.resistnet",
+    ]
+    assert "ohmtree.verify" not in loaded("spantree")
+
+
+# every name the package exported when it imported each submodule eagerly
+EXPORTS = {
+    "exactnum": ["Matrix", "SingularMatrixError", "rational"],
+    "graph": [
+        "DisconnectedError", "Edge", "GraphError", "MergedVertex", "Multigraph",
+        "PreconditionError", "UnknownEdgeError", "UnknownVertexError",
+        "VertexPartition", "banana_graph", "complete_graph", "cycle_graph",
+        "fan_graph", "path_graph", "wheel_graph",
+    ],
+    "polyseq": [],
+    "reduction": ["ReductionTrace", "delta_y", "reduce_two_terminal"],
+    "resistnet": [
+        "DeltaResult", "EulerTerm", "Network", "contraction_delta",
+        "convex_combination_check", "cutting_delta", "edge_modification_delta",
+        "euler_decomposition", "euler_decomposition_resistance_only", "laplacian",
+        "pseudo_inverse", "resistance_derivative", "shorting_delta",
+        "voltage_transfer_contraction", "voltage_transfer_cutting",
+        "voltage_transfer_shorting",
+    ],
+    "spantree": [
+        "averaging_contractions", "averaging_deletions", "closed_form",
+        "contraction_identity", "count_deletion_contraction", "count_enumeration",
+        "count_identified", "count_matrix_tree", "deletion_identity",
+        "identification_quadratic", "identified_count", "resistance_from_trees",
+        "spanning_tree_euler", "star_augmentation_count", "union_banana_of_paths",
+        "union_cut_vertex", "union_cycle_replacement", "union_k_banana",
+        "union_three_vertices", "union_three_vertices_identical",
+        "union_two_vertices", "vertex_deletion_count", "voltage_from_trees",
+    ],
+    "verify": ["GraphGenSpec", "IdentityReport", "run_suite"],
+}
+
+
+def test_package_exports_resolve_to_their_home_modules():
+    assert sorted(ohmtree.__all__) == sorted(  # the 70 names
+        [*EXPORTS, *(name for names in EXPORTS.values() for name in names)]
+    )
+    for home, names in EXPORTS.items():
+        module = importlib.import_module(f"ohmtree.{home}")
+        assert getattr(ohmtree, home) is module
+        for name in names:
+            assert getattr(ohmtree, name) is getattr(module, name)
+            assert vars(ohmtree)[name] is getattr(module, name)  # kept
+    assert not hasattr(ohmtree, "no_such_name")
 
 
 def test_euler_decomposition_examples():

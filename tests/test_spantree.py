@@ -81,6 +81,14 @@ def test_deletion_contraction_examples():
     c3c, _ = cycle_graph(3).contract_edge("e1")
     assert count_matrix_tree(c3c) == 2  # one level of the recursion by hand
     assert count_matrix_tree(cycle_graph(3).delete_edge("e1")) == 1
+    # connectivity is checked only at the root; without that check each leaf
+    # of the recursion on two components would count as a tree
+    for split in (
+        Multigraph(["a", "b"], []),
+        Multigraph("abcde", [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a"),
+                             ("e4", "d", "e")]),
+    ):
+        assert count_deletion_contraction(split) == count_matrix_tree(split) == 0
 
 
 @pytest.mark.parametrize(
