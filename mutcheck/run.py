@@ -235,8 +235,8 @@ MUTANTS = [
     (
         "memo-key-without-kind",
         "exactnum.py",
-        "key = (kind, matrix)",
-        "key = matrix",
+        '("inverse", self)',
+        '("det", self)',
     ),
     (
         "memo-left-on-after-scope",
@@ -313,20 +313,20 @@ MUTANTS = [
     (
         "identify-kept-any-partition",
         "graph.py",
-        "kept = memo.pop(key, None)",
-        "kept = memo.pop(next(iter(memo), None), None)",
+        '("identify", self, groups)',
+        '("identify", self)',
     ),
     (
         "identify-keeps-every-result",
         "graph.py",
-        "if len(memo) == KEPT_IDENTIFICATIONS:",
-        "if False:",
+        "return graph, dict(renames)",
+        "return graph, renames",
     ),
     (
         "cut-graph-kept-without-edge",
         "resistnet.py",
-        "if self._cut is None or self._cut[0] != e:",
-        "if self._cut is None:",
+        '("cut", self.graph, e)',
+        '("cut", self.graph)',
     ),
     (
         "delete-vertex-stale-index",

@@ -9,12 +9,12 @@ terms, with a ``Fraction`` built only when an entry is read.  Its
 :meth:`~Matrix.det` and :meth:`~Matrix.inverse` share one fraction-free
 (Bareiss) forward elimination on the integer rows, which skips a row whose
 multiplier is 0 and rescales it lazily; the inverse finishes with
-fraction-free back substitution.  Inside :func:`remembering`, which
-``verify.run_suite`` opens around each instance, both give back the answer
-already computed for an equal matrix; outside it they compute every time and
-keep nothing.  The field-generic Gauss-Jordan routine
-:func:`invert_rows` serves the float mirror of the derivative check and is the
-tests' exact oracle.
+fraction-free back substitution.  :func:`remember` is the package's one
+memo: inside :func:`remembering`, which ``verify.run_suite`` opens around
+each instance, it answers an equal key once (``det`` and ``inverse`` of a
+matrix, a graph's surgeries, Laplacian and cofactor); outside it nothing is
+kept.  The field-generic Gauss-Jordan routine :func:`invert_rows` serves
+the float mirror of the derivative check and is the tests' exact oracle.
 """
 
 from __future__ import annotations
@@ -24,21 +24,21 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Hashable, Iterator, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
-# (kind, Matrix) -> answer inside remembering(), None outside it
+# (kind, ...) -> answer inside remembering(), None outside it
 _memo: Optional[dict] = None
 
 
 @contextmanager
 def remembering() -> Iterator[None]:
-    """Within this block, Matrix.det and Matrix.inverse give back the answer
-    already computed for an equal matrix; a nested block shares the memo,
-    and it is dropped when the outermost block exits.  The dict compares
-    keys with ``==`` and Matrix equality is canonical, so a hash collision
-    is never taken for identity."""
+    """Within this block, :func:`remember` gives back the answer already
+    computed for an equal key; a nested block shares the memo, and it is
+    dropped when the outermost block exits.  Keys compare with ``==``, and
+    ``Matrix`` and ``Multigraph`` equality are structural, so a hash
+    collision is never taken for identity."""
     global _memo
     outer, _memo = _memo, {} if _memo is None else _memo
     try:
@@ -47,12 +47,11 @@ def remembering() -> Iterator[None]:
         _memo = outer
 
 
-def _remember(kind: str, matrix: "Matrix", compute: Callable[[], object]):
-    """``compute()``, or the memo's answer to this kind of question about an
-    equal matrix when it is on; no answer is None, and an error is not kept."""
+def remember(key: Hashable, compute: Callable[[], object]):
+    """``compute()``, or inside :func:`remembering` the answer kept for an
+    equal ``key``; no answer is None, and an error is not kept."""
     if _memo is None:
         return compute()
-    key = (kind, matrix)
     answer = _memo.get(key)
     if answer is None:
         answer = _memo[key] = compute()
@@ -191,12 +190,12 @@ class Matrix:
     def det(self) -> Fraction:
         """Exact determinant, remembered for an equal matrix inside
         :func:`remembering`."""
-        return _remember("det", self, self._det)
+        return remember(("det", self), self._det)
 
     def inverse(self) -> "Matrix":
         """Exact inverse, remembered for an equal matrix inside
         :func:`remembering`; a singular matrix raises SingularMatrixError."""
-        return _remember("inverse", self, self._inverse)
+        return remember(("inverse", self), self._inverse)
 
     def _det(self) -> Fraction:
         """Exact determinant of N / d: the forward sweep of :func:`_eliminate`

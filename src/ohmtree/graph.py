@@ -19,15 +19,13 @@ the parent's edges, which keeps their order, without re-running the
 constructor's checks.
 
 A graph never changes, so it computes its incidence lists, its
-connectivity and each edge's bridge answer once, on first use, and keeps
-them.  One walk, ``_reach``, answers connectivity, components, separation
-and bridges: an edge is a bridge iff it separates its own endpoints.
-:meth:`Multigraph.keep` keeps any other answer computed from the graph
-alone; ``resistnet`` keeps its integer Laplacian there.  ``identify`` keeps
-its last ``KEPT_IDENTIFICATIONS`` results, one per partition, and hands out
-a fresh copy of the rename map.
-A graph keeps no G - e: the deletion-contraction recursion would then hold
-its whole tree through the caller's graph.
+connectivity, its hash and each edge's bridge answer once, on first use, and
+keeps them.  One walk, ``_reach``, answers connectivity, components,
+separation and bridges: an edge is a bridge iff it separates its own
+endpoints.  A graph keeps no other graph: ``identify`` asks
+``exactnum.remember``, so its results are kept only inside
+``exactnum.remembering()``, and every call hands out a fresh copy of the
+rename map.
 """
 
 from __future__ import annotations
@@ -36,15 +34,12 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, Iterable, List, NamedTuple, Set, Tuple
 
-from .exactnum import rational
+from .exactnum import rational, remember
 
 VertexId = Hashable
 EdgeId = Hashable
 
-# How many identify results a graph keeps.  On the exhaustive verify suite
-# (n = 4) eight hit as often as keeping every result did; the bound caps what
-# a long-lived graph holds, since each kept result may carry its Laplacian.
-KEPT_IDENTIFICATIONS = 8
+_ONE = Fraction(1)  # shared, so equal unit graphs compare lengths by identity
 
 
 class GraphError(ValueError):
@@ -186,8 +181,7 @@ class Multigraph:
         self._incident = None
         self._connected = None
         self._bridge: Dict[EdgeId, bool] = {}
-        self._identified: Dict[frozenset, tuple] = {}  # oldest use first
-        self._kept: dict = {}
+        self._hash = None
 
     @classmethod
     def from_edges(
@@ -378,15 +372,6 @@ class Multigraph:
             rows[j][j] += c
         return rows
 
-    def keep(self, compute: Callable[["Multigraph"], object]):
-        """``compute(self)``, computed on the first call with this
-        ``compute`` and kept for every later one; ``compute`` must depend on
-        the graph alone.  Nothing is kept when it raises."""
-        kept = self._kept
-        if compute not in kept:
-            kept[compute] = compute(self)
-        return kept[compute]
-
     # -- surgery ---------------------------------------------------------
 
     def delete_edge(self, e: EdgeId) -> "Multigraph":
@@ -419,9 +404,8 @@ class Multigraph:
         return self._derive(self._index, {**self._edges, e: ed._replace(length=new_len)})
 
     def with_unit_lengths(self) -> "Multigraph":
-        one = Fraction(1)
         return self._derive(
-            self._index, {k: x._replace(length=one) for k, x in self._edges.items()}
+            self._index, {k: x._replace(length=_ONE) for k, x in self._edges.items()}
         )
 
     def identify(
@@ -431,25 +415,19 @@ class Multigraph:
 
         Edges with both endpoints in one group become self-loops; the edge
         multiset is otherwise preserved.  Returns the new graph and a rename
-        map defined on every vertex of the original graph.  The last
-        ``KEPT_IDENTIFICATIONS`` results are kept, one per partition with
-        singleton groups dropped, and every call returns its own copy of
-        the rename map.
+        map defined on every vertex of the original graph.  The result is
+        remembered per equal graph and partition, singleton groups dropped,
+        and every call returns its own copy of the rename map.
         """
         if not isinstance(partition, VertexPartition):
             partition = VertexPartition(partition)
         for group in partition:
             for v in group:
                 self.position(v)
-        key = frozenset(g for g in map(frozenset, partition) if len(g) > 1)
-        memo = self._identified
-        kept = memo.pop(key, None)
-        if kept is None:
-            kept = self._identified_by(key)
-            if len(memo) == KEPT_IDENTIFICATIONS:
-                del memo[next(iter(memo))]
-        memo[key] = kept
-        graph, renames = kept
+        groups = frozenset(g for g in map(frozenset, partition) if len(g) > 1)
+        graph, renames = remember(
+            ("identify", self, groups), lambda: self._identified_by(groups)
+        )
         return graph, dict(renames)
 
     def _identified_by(self, groups: frozenset) -> tuple:
@@ -505,7 +483,9 @@ class Multigraph:
         )
 
     def __hash__(self):
-        return hash((frozenset(self._index), tuple(self._edges)))
+        if self._hash is None:
+            self._hash = hash((frozenset(self._index), tuple(self._edges.values())))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Multigraph(n={self.n}, m={self.m}, hash={self.graph_hash()})"

@@ -17,12 +17,11 @@ elimination on floats (``exactnum.invert_rows``).
 Derived quantities for a surgered graph (vertices identified, an edge deleted
 or contracted, a length changed) are always computed by building the surgered
 network and re-deriving its pseudo-inverse, never by trusting the identity
-under test.  What is reused is only what does not depend on the law: a graph
-keeps its integer Laplacian once assembled (``Multigraph.keep``) and its last
-few identifications; a :class:`Network` keeps the last G - e it derived, so
-``deleted(e)`` and ``contracted(e)`` of one edge build it once.  Every
-``shorted``, ``deleted`` and ``contracted`` call still returns a fresh
-``Network``, which inverts its own Laplacian when first queried.
+under test.  What is reused is only what does not depend on the law, and only
+inside ``exactnum.remembering()``: an equal graph's Laplacian and
+identifications, and the G - e that ``deleted(e)`` and ``contracted(e)``
+share.  Every ``shorted``, ``deleted`` and ``contracted`` call still returns
+a fresh ``Network``, which inverts its own Laplacian when first queried.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from functools import partial
 from math import lcm
 from typing import Dict, List, NamedTuple, Tuple
 
-from .exactnum import Matrix, SingularMatrixError, invert_rows, rational
+from .exactnum import Matrix, SingularMatrixError, invert_rows, rational, remember
 from .graph import (
     DisconnectedError,
     EdgeId,
@@ -44,9 +43,9 @@ from .graph import (
 
 def laplacian(graph: Multigraph) -> Matrix:
     """Discrete Laplacian, conductance 1/L per edge, in sorted vertex order:
-    integer rows of D / L over D, the lcm of the non-loop L's numerators.
-    Assembled once per graph and kept with it."""
-    return graph.keep(_assemble_laplacian)
+    integer rows of D / L over D, the lcm of the non-loop L's numerators;
+    remembered per equal graph."""
+    return remember(("laplacian", graph), partial(_assemble_laplacian, graph))
 
 
 def _assemble_laplacian(graph: Multigraph) -> Matrix:
@@ -80,15 +79,13 @@ def pseudo_inverse(lap: Matrix) -> Matrix:
 
 class Network:
     """A connected multigraph with its pseudo-inverse, computed on first use
-    and kept, and the last G - e it derived.  The Laplacian is the one its
-    graph keeps."""
+    and kept."""
 
     def __init__(self, graph: Multigraph):
         if not graph.is_connected():
             raise DisconnectedError("network graph must be connected")
         self.graph = graph
         self._pseudo_inverse = None
-        self._cut = None  # (e, G - e) for the last edge asked about
 
     @property
     def laplacian(self) -> Matrix:
@@ -123,11 +120,9 @@ class Network:
         return Network(g), renames
 
     def _cut_graph(self, e: EdgeId) -> Multigraph:
-        """G - e, kept for the last edge asked about: a law asks for
-        ``deleted(e)`` and ``contracted(e)`` of one edge in turn."""
-        if self._cut is None or self._cut[0] != e:
-            self._cut = (e, self.graph.delete_edge(e))
-        return self._cut[1]
+        """G - e, remembered: a law asks for ``deleted(e)`` and
+        ``contracted(e)`` of one edge in turn."""
+        return remember(("cut", self.graph, e), partial(self.graph.delete_edge, e))
 
     def deleted(self, e: EdgeId) -> "Network":
         """Network with the edge's interior removed (raises if that

@@ -25,7 +25,7 @@ from itertools import combinations, count
 from math import prod
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
-from .exactnum import Matrix
+from .exactnum import Matrix, remember
 from .graph import (
     DisconnectedError,
     EdgeId,
@@ -46,11 +46,11 @@ def count_matrix_tree(graph: Multigraph) -> int:
     """
     if graph.n == 0:
         raise GraphError("graph has no vertices")
-    return int(graph.keep(_unit_cofactor).det())
+    return int(remember(("cofactor", graph), lambda: _unit_cofactor(graph)).det())
 
 
 def _unit_cofactor(graph: Multigraph) -> Matrix:
-    """The unit Laplacian without its first row and column, kept per graph."""
+    """The unit Laplacian without its first row and column."""
     rows = graph.laplacian_rows(lambda e: 1)
     return Matrix.from_integer_rows([row[1:] for row in rows[1:]], 1)
 

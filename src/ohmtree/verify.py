@@ -496,8 +496,8 @@ def run_suite(
     requested tag that ends up with no check at all is listed in
     ``unchecked_tags`` and makes ``all_passed()`` false.  A negative
     ``instances`` or ``samples`` raises ``ValueError``.  Each instance runs
-    inside :func:`exactnum.remembering`, so an equal matrix is eliminated
-    once per instance.
+    inside :func:`exactnum.remembering`, so each answer that
+    :func:`exactnum.remember` keeps is computed once per instance.
     """
     if instances < 0 or samples < 0:
         raise ValueError(f"instances and samples must be >= 0, got {instances}, {samples}")

@@ -258,7 +258,7 @@ def test_remembering_keeps_det_and_inverse_of_one_matrix_apart(det_first):
                  ("e4", "d", "a"), ("e5", "a", "c"), ("e6", "a", "c")]
     )
     grounded = laplacian(g).drop(0, 0)
-    assert grounded == g.keep(spantree._unit_cofactor)
+    assert grounded == spantree._unit_cofactor(g)
     rows = [list(grounded.row(i)) for i in range(grounded.rows)]
     expected = Matrix(invert_rows(rows, Fraction(1)))
     with remembering():

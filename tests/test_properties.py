@@ -9,6 +9,7 @@ form its entries are written in, its one elimination agrees with Fraction
 arithmetic on banded grid Laplacians and on matrices that need row swaps,
 and a failure shrinks to the smallest counterexample graph."""
 
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import chain
 from math import gcd, prod
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from test_exactnum import LENGTHS, cofactor_det, grid_laplacians, sparse_matrices
 
 from ohmtree import resistnet, spantree
-from ohmtree.exactnum import Matrix, SingularMatrixError, invert_rows
+from ohmtree.exactnum import Matrix, SingularMatrixError, invert_rows, remembering
 from ohmtree.graph import MergedVertex, Multigraph
 from ohmtree.resistnet import Network
 
@@ -222,7 +223,8 @@ def _matches_fresh_build(child):
 @given(g=any_graphs(LENGTHS), data=st.data())
 def test_surgered_graphs_match_fresh_builds(g, data):
     """Every surgery, on a parent that has or has not computed its own facts,
-    gives on the first call and on the second (kept) call a graph equal to
+    inside or outside ``exactnum.remembering()``, gives on the first call and
+    on the second (inside the block, the kept) call a graph equal to
     ``Multigraph(child.vertices(), child.edges())``, with the same order,
     connectivity, bridges, incidences and Laplacian; rename maps are equal
     across calls but never shared."""
@@ -256,18 +258,19 @@ def test_surgered_graphs_match_fresh_builds(g, data):
         ]
         for x in ids:
             surgeries += [lambda x=x: (g.delete_edge(x), None), lambda x=x: g.contract_edge(x)]
-    for surgery in surgeries:
-        (first, renames), (again, renames_again) = surgery(), surgery()
-        _matches_fresh_build(first)
-        _matches_fresh_build(again)
-        if renames is not None:
-            assert renames_again == renames and renames_again is not renames
-    for part in groups:
-        renames = g.identify(part)[1]
-        renames.clear()
-        assert g.identify(part)[1] == {x: x for x in g.vertices()} | {
-            x: MergedVertex(group) for group in part if len(group) > 1 for x in group
-        }
+    with remembering() if draw(st.booleans()) else nullcontext():
+        for surgery in surgeries:
+            (first, renames), (again, renames_again) = surgery(), surgery()
+            _matches_fresh_build(first)
+            _matches_fresh_build(again)
+            if renames is not None:
+                assert renames_again == renames and renames_again is not renames
+        for part in groups:
+            renames = g.identify(part)[1]
+            renames.clear()
+            assert g.identify(part)[1] == {x: x for x in g.vertices()} | {
+                x: MergedVertex(group) for group in part if len(group) > 1 for x in group
+            }
 
 
 def _identified_one_group_at_a_time(graph, *groups):

@@ -10,10 +10,9 @@ from pathlib import Path
 import pytest
 
 import ohmtree
-from ohmtree import resistnet
-from ohmtree.exactnum import Matrix
+from ohmtree import exactnum, resistnet
+from ohmtree.exactnum import Matrix, remembering
 from ohmtree.graph import (
-    KEPT_IDENTIFICATIONS,
     DisconnectedError,
     Multigraph,
     PreconditionError,
@@ -114,9 +113,9 @@ def test_network_walks_its_graph_once(monkeypatch):
 
 
 def test_repeated_laws_invert_and_count_again(monkeypatch):
-    """Graphs, Laplacians and identifications are kept, eliminations are
-    not: each repeat of a law inverts or counts once more, and
-    deletion-contraction leaves its input keeping no derived graph."""
+    """Outside exactnum.remembering() nothing is kept: each repeat of a law
+    inverts or counts once more, and deletion-contraction leaves its input
+    holding no derived graph."""
     calls = Counter()
     for name in ("inverse", "det"):
         def counted(self, _name=name, _run=getattr(Matrix, name)):
@@ -141,7 +140,8 @@ def test_repeated_laws_invert_and_count_again(monkeypatch):
             assert calls[kernel] == before + k
     fresh = Multigraph(g.vertices(), g.edges())
     assert count_deletion_contraction(fresh) == count_matrix_tree(fresh)
-    assert fresh._identified == {}
+    assert not any(isinstance(x, Multigraph) for x in vars(fresh).values())
+    assert exactnum._memo is None
 
 
 @pytest.mark.parametrize(
@@ -169,27 +169,34 @@ def test_unknown_vertex_raises_before_inverting(monkeypatch, query):
 
 
 def test_kept_graphs_are_bounded():
-    """A graph keeps only its last KEPT_IDENTIFICATIONS identifications, a
-    hit counting as a use, and a Network only the G - e of the last edge it
-    was asked about, however many it is asked for; each answer is right."""
+    """Derived graphs are kept only inside exactnum.remembering(): outside
+    it two identify or deleted(e) calls give equal but distinct graphs and
+    nothing is kept; inside it an equal but freshly built parent gets the
+    same graphs and Laplacian back, with its own rename map, and the memo is
+    dropped when the block exits.  Each answer is right."""
     g = complete_graph(7)
     net = Network(g)
     pairs = [(p, q) for p in g.sorted_vertices() for q in g.sorted_vertices() if p < q]
-    first, _ = g.identify([pairs[0]])
-    for p, q in pairs[1:KEPT_IDENTIFICATIONS]:
-        net.shorted(p, q)
-    assert g.identify([pairs[0]])[0] is first  # a hit, now the latest use
-    for p, q in pairs[KEPT_IDENTIFICATIONS : 2 * KEPT_IDENTIFICATIONS - 1]:
-        net.shorted(p, q)
-    assert g.identify([pairs[0]])[0] is first  # not the oldest, so still kept
-    for p, q in pairs:
-        shorted, renames = net.shorted(p, q)
-        assert shorted.graph == Multigraph(set(renames.values()), shorted.graph.edges())
-        assert renames[p] == renames[q] and len(set(renames.values())) == g.n - 1
-        assert len(g._identified) <= KEPT_IDENTIFICATIONS
-    for e in g.edge_ids():
-        assert net.deleted(e).graph == Multigraph(g.vertices(), g.delete_edge(e).edges())
-        assert net._cut[0] == e
+    first, again = g.identify([pairs[0]])[0], g.identify([pairs[0]])[0]
+    assert first == again and first is not again
+    first, again = net.deleted("e1").graph, net.deleted("e1").graph
+    assert first == again and first is not again
+    assert exactnum._memo is None
+    with remembering():
+        twin = Network(Multigraph(g.vertices(), g.edges()))
+        for p, q in pairs:
+            shorted, renames = net.shorted(p, q)
+            kept, kept_renames = twin.shorted(p, q)
+            assert kept.graph is shorted.graph and kept_renames is not renames
+            assert shorted.graph == Multigraph(set(renames.values()), shorted.graph.edges())
+            assert renames[p] == renames[q] and len(set(renames.values())) == g.n - 1
+        for e in g.edge_ids():
+            deleted = net.deleted(e).graph
+            assert deleted == Multigraph(g.vertices(), g.delete_edge(e).edges())
+            assert twin.deleted(e).graph is deleted
+            assert net.contracted(e)[0].graph == g.contract_edge(e)[0]
+        assert twin.laplacian is net.laplacian
+    assert exactnum._memo is None
 
 
 def test_pseudo_inverse_path2():
