@@ -149,6 +149,12 @@ MUTANTS = [
         "m[i][i] - 1 * m[i][j] + m[j][j]",
     ),
     (
+        "poly-truncates-coefficients",
+        "polyseq.py",
+        "list(index(c) for c in coeffs)",
+        "list(int(c) for c in coeffs)",
+    ),
+    (
         "recurrence-shift",
         "polyseq.py",
         "for _ in range(n - 1):",
@@ -171,6 +177,12 @@ MUTANTS = [
         "exactnum.py",
         "if r == col or a[r][col] == 0:",
         "if r <= col or a[r][col] == 0:",
+    ),
+    (
+        "drop-row-past-end",
+        "exactnum.py",
+        "0 <= i < self.rows",
+        "0 <= i <= self.rows",
     ),
     (
         "det-swap-sign",

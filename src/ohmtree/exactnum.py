@@ -23,7 +23,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import mul
 from typing import Callable, Hashable, Iterator, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -110,14 +109,6 @@ class Matrix:
     numerators = property(lambda self: self._num)
     denominator = property(lambda self: self._den)
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def filled(cls, rows: int, cols: int, value: Scalar = 0) -> "Matrix":
-        return cls([[rational(value)] * cols for _ in range(rows)])
-
     def __getitem__(self, key) -> Fraction:
         i, j = key
         return Fraction(self._num[i][j], self._den)
@@ -137,43 +128,10 @@ class Matrix:
         body = "; ".join(" ".join(map(str, self.row(i))) for i in range(self.rows))
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError(
-                f"dimension mismatch: {self.rows}x{self.cols} vs "
-                f"{other.rows}x{other.cols}"
-            )
-        a, b, rows = self._den, other._den, zip(self._num, other._num)
-        num = [[x * b + y * a for x, y in zip(r, s)] for r, s in rows]
-        return Matrix.from_integer_rows(num, a * b)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other * -1
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.cols != other.rows:
-                raise ValueError(
-                    f"dimension mismatch: {self.rows}x{self.cols} * "
-                    f"{other.rows}x{other.cols}"
-                )
-            cols = list(zip(*other._num))
-            num = [[sum(map(mul, row, col)) for col in cols] for row in self._num]
-            return Matrix.from_integer_rows(num, self._den * other._den)
-        c = rational(other)
-        num = [[c.numerator * x for x in row] for row in self._num]
-        return Matrix.from_integer_rows(num, c.denominator * self._den)
-
-    __rmul__ = __mul__
-
-    def transpose(self) -> "Matrix":
-        return Matrix.from_integer_rows(list(zip(*self._num)), self._den)
-
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and self == self.transpose()
-
     def drop(self, i: int, j: int) -> "Matrix":
         """Matrix with row i and column j removed."""
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"row {i} or column {j} outside {self.rows}x{self.cols}")
         return Matrix.from_integer_rows(
             [
                 [x for cj, x in enumerate(row) if cj != j]

@@ -250,9 +250,6 @@ class Multigraph:
     def length(self, e: EdgeId) -> Fraction:
         return self.edge(e).length
 
-    def total_length(self) -> Fraction:
-        return sum((e.length for e in self._edges.values()), Fraction(0))
-
     def has_unit_lengths(self) -> bool:
         return all(e.length == 1 for e in self._edges.values())
 
@@ -494,39 +491,36 @@ class Multigraph:
 # -- standard families ----------------------------------------------------
 
 
-def path_graph(s: int, length=1) -> Multigraph:
+def path_graph(s: int) -> Multigraph:
     """Path on s >= 1 vertices v1..vs."""
     if s < 1:
         raise GraphError("path needs at least one vertex")
     return Multigraph(
         (f"v{i}" for i in range(1, s + 1)),
-        ((f"e{i}", f"v{i}", f"v{i+1}", length) for i in range(1, s)),
+        ((f"e{i}", f"v{i}", f"v{i+1}") for i in range(1, s)),
     )
 
 
-def cycle_graph(s: int, length=1) -> Multigraph:
+def cycle_graph(s: int) -> Multigraph:
     """Cycle on s >= 1 vertices; s=1 is a single vertex with a self-loop."""
     if s < 1:
         raise GraphError("cycle needs at least one vertex")
     return Multigraph(
         (f"v{i}" for i in range(1, s + 1)),
-        (
-            (f"e{i}", f"v{i}", f"v{i % s + 1}", length)
-            for i in range(1, s + 1)
-        ),
+        ((f"e{i}", f"v{i}", f"v{i % s + 1}") for i in range(1, s + 1)),
     )
 
 
-def banana_graph(s: int, length=1) -> Multigraph:
+def banana_graph(s: int) -> Multigraph:
     """Two vertices joined by s >= 1 parallel edges (dipole)."""
     if s < 1:
         raise GraphError("banana needs at least one edge")
     return Multigraph(
-        ("v1", "v2"), ((f"e{i}", "v1", "v2", length) for i in range(1, s + 1))
+        ("v1", "v2"), ((f"e{i}", "v1", "v2") for i in range(1, s + 1))
     )
 
 
-def complete_graph(n: int, length=1) -> Multigraph:
+def complete_graph(n: int) -> Multigraph:
     if n < 1:
         raise GraphError("complete graph needs at least one vertex")
     edges = []
@@ -534,7 +528,7 @@ def complete_graph(n: int, length=1) -> Multigraph:
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             k += 1
-            edges.append((f"e{k}", f"v{i}", f"v{j}", length))
+            edges.append((f"e{k}", f"v{i}", f"v{j}"))
     return Multigraph((f"v{i}" for i in range(1, n + 1)), edges)
 
 

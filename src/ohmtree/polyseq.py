@@ -1,24 +1,25 @@
 """Integer polynomial sequences behind fan and wheel tree counts.
 
-Covers the Morgan-Voyce family B_n, the companion family W_n whose values
-count wheel spanning trees, the classical companion C_n, Fibonacci and Lucas
-numbers and polynomials, and the two triangular coefficient arrays.
+Covers the Morgan-Voyce family B_n, whose values count fan spanning trees,
+and the companion family W_n, whose values count wheel spanning trees.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
-from typing import List, Sequence, Union
+from operator import index
+from typing import Sequence, Union
 
 
 class IntPolynomial:
-    """Polynomial with integer coefficients, stored ascending by degree."""
+    """Polynomial with integer coefficients, stored ascending by degree.  A
+    coefficient or scalar that is not an integer raises TypeError rather than
+    being truncated."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[int] = ()):
-        cs = list(int(c) for c in coeffs)
+        cs = list(index(c) for c in coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -47,15 +48,6 @@ class IntPolynomial:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other) -> "IntPolynomial":
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other) -> "IntPolynomial":
-        return _as_poly(other) + (-self)
-
     def __mul__(self, other) -> "IntPolynomial":
         other = _as_poly(other)
         if not self.coeffs or not other.coeffs:
@@ -67,19 +59,6 @@ class IntPolynomial:
         return IntPolynomial(out)
 
     __rmul__ = __mul__
-
-    def shifted(self, k: int) -> "IntPolynomial":
-        """Multiply by x^k."""
-        if not self.coeffs:
-            return self
-        return IntPolynomial((0,) * k + self.coeffs)
-
-    def dilated(self, k: int) -> "IntPolynomial":
-        """Substitute x^k for x."""
-        out = [0] * (k * len(self.coeffs))
-        for i, c in enumerate(self.coeffs):
-            out[i * k] = c
-        return IntPolynomial(out)
 
     def __call__(self, x: Union[int, Fraction]) -> Union[int, Fraction]:
         """Exact Horner evaluation."""
@@ -105,21 +84,17 @@ class IntPolynomial:
 
 
 def _as_poly(v) -> IntPolynomial:
-    return v if isinstance(v, IntPolynomial) else IntPolynomial((int(v),))
+    return v if isinstance(v, IntPolynomial) else IntPolynomial((index(v),))
 
 
 X = IntPolynomial((0, 1))
 
 
-def _check_index(n: int) -> None:
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-
-
 def _recurrence(n: int, a0, a1, step, sign: int, shift: int = 0):
     """x_n of the second-order recurrence x_0 = a0, x_1 = a1,
     x_k = step * x_{k-1} + sign * x_{k-2} + shift."""
-    _check_index(n)
+    if n < 0:
+        raise ValueError("index must be nonnegative")
     prev, cur = a0, a1
     if n == 0:
         return prev
@@ -136,66 +111,3 @@ def morgan_voyce(n: int) -> IntPolynomial:
 def w_poly(n: int) -> IntPolynomial:
     """W_n: W_0 = 1, W_1 = x + 4, W_n = (x + 2) W_{n-1} - W_{n-2} + 2."""
     return _recurrence(n, IntPolynomial((1,)), X + 4, X + 2, -1, 2)
-
-
-def companion_poly(n: int) -> IntPolynomial:
-    """Companion Morgan-Voyce C_n: C_0 = 2, C_1 = x + 2, same recurrence as
-    B_n.  Satisfies x * W_{n-1}(x) + 2 = C_n(x)."""
-    return _recurrence(n, IntPolynomial((2,)), X + 2, X + 2, -1)
-
-
-def fibonacci_poly(n: int) -> IntPolynomial:
-    """F_0 = 0, F_1 = 1, F_n = x F_{n-1} + F_{n-2}."""
-    return _recurrence(n, IntPolynomial(), IntPolynomial((1,)), X, 1)
-
-
-def lucas_poly(n: int) -> IntPolynomial:
-    """L_0 = 2, L_1 = x, L_n = x L_{n-1} + L_{n-2}."""
-    return _recurrence(n, IntPolynomial((2,)), X, X, 1)
-
-
-def fibonacci(n: int) -> int:
-    return _recurrence(n, 0, 1, 1, 1)
-
-
-def lucas(n: int) -> int:
-    return _recurrence(n, 2, 1, 1, 1)
-
-
-def triangular_fan(n: int, k: int) -> int:
-    """Coefficient array of the B_n family via the recurrence
-    T(n,k) = T(n-1,k-1) + 2 T(n-1,k) - T(n-2,k), T(0,0) = 1, zero outside
-    0 <= k <= n.  Row n lists the coefficients of B_n(x).
-    """
-    if n < 0 or k < 0:
-        raise ValueError("indices must be nonnegative")
-    if k > n:
-        return 0
-    prev2: List[int] = []
-    prev: List[int] = [1]
-    for r in range(1, n + 1):
-        cur = []
-        for c in range(r + 1):
-            v = (
-                (prev[c - 1] if 0 <= c - 1 < len(prev) else 0)
-                + 2 * (prev[c] if c < len(prev) else 0)
-                - (prev2[c] if c < len(prev2) else 0)
-            )
-            cur.append(v)
-        prev2, prev = prev, cur
-    return prev[k]
-
-
-def triangular_wheel(n: int, k: int) -> int:
-    """Coefficient array of the W_n family by the closed form
-    (2n + 2) / (n + 2 + k) * C(n + 2 + k, n - k); the division is exact and
-    asserted rather than rounded.  Row n lists the coefficients of W_n(x)."""
-    if n < 0 or k < 0:
-        raise ValueError("indices must be nonnegative")
-    if k > n:
-        return 0
-    num = (2 * n + 2) * comb(n + 2 + k, n - k)
-    den = n + 2 + k
-    if num % den:
-        raise AssertionError(f"non-integral wheel coefficient at ({n}, {k})")
-    return num // den

@@ -48,9 +48,6 @@ class ReductionTrace:
     def text(self) -> str:
         return "\n".join(self.lines()) + ("\n" if self.steps else "")
 
-    def rules_used(self) -> set:
-        return {s.rule for s in self.steps}
-
 
 def delta_y(graph: Multigraph, e1, e2, e3) -> Multigraph:
     """Replace a triangle of edges by an equivalent 3-arm star.

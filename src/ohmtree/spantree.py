@@ -292,14 +292,6 @@ def union_banana_of_paths(part_counts: Sequence[Sequence[Tuple[int, int]]]) -> i
     return union_k_banana(branch_t, branch_tpq)
 
 
-def banana_of_paths_uniform(k: int, n: int, t_h: int, t_h_st: int) -> int:
-    """Closed form for k identical branches of n identical segments:
-    k * n^(k-1) * t_h^((n-1)(k-1)+n) * t_h_st^(k-1)."""
-    if k < 1 or n < 1:
-        raise GraphError("need k >= 1 branches of n >= 1 segments")
-    return k * n ** (k - 1) * t_h ** ((n - 1) * (k - 1) + n) * t_h_st ** (k - 1)
-
-
 def union_three_vertices(
     t1: int,
     t2: int,

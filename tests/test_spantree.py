@@ -18,14 +18,12 @@ from ohmtree.graph import (
     path_graph,
     wheel_graph,
 )
-from ohmtree.polyseq import triangular_fan, triangular_wheel
 from ohmtree.resistnet import Network
 from ohmtree.spantree import (
     add_star_edges,
     averaging_contractions,
     averaging_deletions,
     banana_of,
-    banana_of_paths_uniform,
     chain_of,
     closed_form,
     contraction_identity,
@@ -179,7 +177,7 @@ def test_resistance_from_trees():
     k4 = complete_graph(4)
     assert resistance_from_trees(k4, "v1", "v3") == Fraction(1, 2)
     with pytest.raises(PreconditionError):
-        resistance_from_trees(cycle_graph(3, length=2), "v1", "v2")
+        resistance_from_trees(cycle_graph(3).with_length("e1", 2), "v1", "v2")
 
 
 def test_voltage_from_trees():
@@ -315,7 +313,8 @@ def test_union_banana_of_paths_uniform():
         for n in range(1, 4):
             for t_h, t_st in ((1, 1), (3, 2), (4, 7)):
                 general = union_banana_of_paths([[(t_h, t_st)] * n] * k)
-                assert general == banana_of_paths_uniform(k, n, t_h, t_st)
+                uniform = k * n ** (k - 1) * t_h ** ((n - 1) * (k - 1) + n)
+                assert general == uniform * t_st ** (k - 1)
 
 
 def test_union_banana_of_paths_construct_and_count():
@@ -578,6 +577,19 @@ def test_closed_forms_match_constructions():
             assert closed_form("wheel", n, a) == count_matrix_tree(wheel_graph(n, a))
 
 
+def test_fan_and_wheel_counts_are_fibonacci_and_lucas_numbers():
+    # t(fan_n) = B_{n-1}(1) = F(2n) and t(wheel_n) = W_{n-1}(1) = L(2n) - 2,
+    # F and L the Fibonacci and Lucas numbers, by x B_n(x^2) = F_{2n+2}(x)
+    # and x^2 W_n(x^2) = L_{2n+2}(x) - 2 at x = 1
+    fib, luc = [0, 1], [2, 1]
+    while len(fib) <= 60:
+        fib.append(fib[-1] + fib[-2])
+        luc.append(luc[-1] + luc[-2])
+    for n in range(1, 31):
+        assert closed_form("fan", n) == fib[2 * n]
+        assert closed_form("wheel", n) == luc[2 * n] - 2
+
+
 def test_path_identification_gap_product():
     # identifying a subset of path vertices leaves one unit of choice per gap
     for n in range(2, 7):
@@ -601,7 +613,6 @@ def test_fan_subset_sum_identity():
                     prod *= b - a
                 total += prod
             assert total == comb(n - 1 + k, 2 * k - 1)
-            assert total == triangular_fan(n - 1, k - 1)
 
 
 def test_cycle_identification_wrap_product():
@@ -626,4 +637,3 @@ def test_wheel_subset_sum_identity():
                     prod *= b - a
                 total += prod
             assert total == 2 * n * comb(n + k, n - k) // (n + k)
-            assert total == triangular_wheel(n - 1, k - 1)
