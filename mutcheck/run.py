@@ -169,8 +169,8 @@ MUTANTS = [
     (
         "invert-unswapped-rhs",
         "exactnum.py",
-        "            b[col], b[piv] = b[piv], b[col]\n",
-        "",
+        "any(a[r][col] != 0 for r in range(col + 1, n))",
+        "any(a[r][col] != 0 for r in range(col + 2, n))",
     ),
     (
         "invert-forward-only",
@@ -181,14 +181,20 @@ MUTANTS = [
     (
         "drop-row-past-end",
         "exactnum.py",
-        "0 <= i < self.rows",
-        "0 <= i <= self.rows",
+        "0 <= i < self.rows and",
+        "0 <= i <= self.rows and",
+    ),
+    (
+        "row-reads-from-end",
+        "exactnum.py",
+        "if not 0 <= i < self.rows:",
+        "if not -self.rows <= i < self.rows:",
     ),
     (
         "det-swap-sign",
         "exactnum.py",
-        "sign = -sign",
-        "sign = sign",
+        "any(w[r][k] for r in range(k + 1, n))",
+        "any(w[r][k] for r in range(k + 2, n))",
     ),
     (
         "det-bareiss-divisor",
@@ -217,8 +223,8 @@ MUTANTS = [
     (
         "inverse-first-pivot",
         "exactnum.py",
-        "    return sign, prev\n",
-        "    return sign, w[0][0] if n else 1\n",
+        "    return prev\n",
+        "    return w[0][0] if n else 1\n",
     ),
     (
         "lazy-pivot-row-stale",
@@ -235,8 +241,8 @@ MUTANTS = [
     (
         "lazy-base-unswapped",
         "exactnum.py",
-        "            base[k], base[piv] = base[piv], base[k]\n",
-        "",
+        "            if any(w[r][k] for r in range(k + 1, n)):\n",
+        "            if False:\n",
     ),
     (
         "lazy-catch-up-inverted",

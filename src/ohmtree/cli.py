@@ -145,8 +145,9 @@ def cmd_spantree(args) -> int:
         t = spantree.count_enumeration(g)
     elif g.n < 2 or not g.is_connected():  # vertex-del needs n >= 2, connected
         t = spantree.count_matrix_tree(g)
-    else:
-        t, _ = spantree.vertex_deletion_count(g, spantree.removable_vertices(g)[0])
+    else:  # the count is the same at any removable vertex: take one of least degree
+        u = min(spantree.removable_vertices(g), key=g.degree)
+        t, _ = spantree.vertex_deletion_count(g, u)
     print(t)
     return 0
 

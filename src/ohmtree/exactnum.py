@@ -9,12 +9,14 @@ terms, with a ``Fraction`` built only when an entry is read.  Its
 :meth:`~Matrix.det` and :meth:`~Matrix.inverse` share one fraction-free
 (Bareiss) forward elimination on the integer rows, which skips a row whose
 multiplier is 0 and rescales it lazily; the inverse finishes with
-fraction-free back substitution.  :func:`remember` is the package's one
-memo: inside :func:`remembering`, which ``verify.run_suite`` opens around
-each instance, it answers an equal key once (``det`` and ``inverse`` of a
-matrix, a graph's surgeries, Laplacian and cofactor); outside it nothing is
-kept.  The field-generic Gauss-Jordan routine :func:`invert_rows` serves
-the float mirror of the derivative check and is the tests' exact oracle.
+fraction-free back substitution.  No row is exchanged: every matrix
+eliminated is positive semidefinite, so a zero pivot has a zero column below
+it.  :func:`remember` is the package's one memo: inside :func:`remembering`,
+which ``verify.run_suite`` opens around each instance, it answers an equal
+key once (``det`` and ``inverse`` of a matrix, a graph's surgeries,
+Laplacian and cofactor); outside it nothing is kept.  The field-generic
+Gauss-Jordan routine :func:`invert_rows` serves the float mirror of the
+derivative check and is the tests' exact oracle.
 """
 
 from __future__ import annotations
@@ -81,7 +83,9 @@ class SingularMatrixError(ValueError):
 class Matrix:
     """Dense rational matrix, row-major, treated as immutable: integer rows
     ``numerators`` over one ``denominator`` > 0, in lowest terms.  The form is
-    canonical, so equal matrices compare and hash equal however built."""
+    canonical, so equal matrices compare and hash equal however built.
+    :meth:`det` and :meth:`inverse` are meant for symmetric positive
+    semidefinite matrices; any other gets the exact answer or a ValueError."""
 
     __slots__ = ("rows", "cols", "_num", "_den")
 
@@ -111,9 +115,12 @@ class Matrix:
 
     def __getitem__(self, key) -> Fraction:
         i, j = key
+        self._check_index(i, j)
         return Fraction(self._num[i][j], self._den)
 
     def row(self, i: int) -> tuple:
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} outside {self.rows}x{self.cols}")
         return tuple(Fraction(x, self._den) for x in self._num[i])
 
     def __eq__(self, other) -> bool:
@@ -130,16 +137,13 @@ class Matrix:
 
     def drop(self, i: int, j: int) -> "Matrix":
         """Matrix with row i and column j removed."""
+        self._check_index(i, j)
+        kept = [row[:j] + row[j + 1 :] for h, row in enumerate(self._num) if h != i]
+        return Matrix.from_integer_rows(kept, self._den)
+
+    def _check_index(self, i: int, j: int) -> None:  # none counts from the end
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"row {i} or column {j} outside {self.rows}x{self.cols}")
-        return Matrix.from_integer_rows(
-            [
-                [x for cj, x in enumerate(row) if cj != j]
-                for ri, row in enumerate(self._num)
-                if ri != i
-            ],
-            self._den,
-        )
 
     def _check_square(self) -> None:
         if self.rows != self.cols:
@@ -157,15 +161,15 @@ class Matrix:
 
     def _det(self) -> Fraction:
         """Exact determinant of N / d: the forward sweep of :func:`_eliminate`
-        on the integer rows N leaves det(N) = sign * last pivot, divided by
-        d to the n-th power; 0 when a column has no pivot.  The empty 0x0
+        on the integer rows N leaves det(N) as its last pivot, divided by d
+        to the n-th power; 0 when a column has no pivot.  The empty 0x0
         matrix has determinant 1."""
         self._check_square()
         try:
-            sign, last = _eliminate([list(row) for row in self._num], self.rows)
+            last = _eliminate([list(row) for row in self._num], self.rows)
         except SingularMatrixError:
             return Fraction(0)
-        return Fraction(sign * last, self._den ** self.rows)
+        return Fraction(last, self._den ** self.rows)
 
     def _inverse(self) -> "Matrix":
         """Exact inverse A^-1 of A = N / d: the forward sweep of
@@ -173,13 +177,12 @@ class Matrix:
         substitution solves U Y = D B from the bottom row up, D the last
         pivot, Y_i = (D B_i - sum over j > i of U_ij Y_j) / U_ii.  Each division
         is exact because Y = D A^-1 is integral; zero U_ij are skipped, so a
-        banded U costs about n^2 times its bandwidth.  The answer is Y / D,
-        whose sign may be negative.  Pivots and the SingularMatrixError column
-        are those of invert_rows."""
+        banded U costs about n^2 times its bandwidth.  The answer is Y / D.
+        Pivots and the errors at a zero pivot are those of invert_rows."""
         self._check_square()
         n, d = self.rows, self._den
         w = [[*r, *(d * (i == j) for j in range(n))] for i, r in enumerate(self._num)]
-        last = _eliminate(w, n)[1]
+        last = _eliminate(w, n)
         y = [None] * n
         for i in range(n - 1, -1, -1):
             row = w[i]
@@ -192,30 +195,26 @@ class Matrix:
         return Matrix.from_integer_rows(y, last)
 
 
-def _eliminate(w: list, n: int) -> tuple:
+def _eliminate(w: list, n: int) -> int:
     """Fraction-free (Bareiss) forward elimination, in place, of the first n
     columns of the integer rows ``w``, carrying any later columns along; each
-    update divides exactly by the previous pivot.  Takes the first nonzero
-    pivot of each column, so the pivots and the SingularMatrixError column
-    are those of invert_rows.  Rescaling is lazy: a step whose multiplier in
-    a row is 0 would only scale that row by p_k / p_(k-1), so it is skipped;
-    those factors telescope, so the stored row is the eager one times
-    base[i] / prev, base[i] the previous pivot of its last update.  Its next
-    update divides by base[i], not prev; a pivot row is caught up by
-    prev / base[i].  Each division is exact.  Returns the sign of the row
-    permutation and the last pivot, 1 when n is 0.  Row i is left with its
-    pivot U_ii in column i and U_ij to the right of it, the integers of the
-    eager sweep; entries to its left are stale."""
-    sign, prev = 1, 1
+    update divides exactly by the previous pivot.  It pivots on the diagonal,
+    as invert_rows does, and raises as it does at a zero pivot.  Rescaling is
+    lazy: a step whose multiplier in a row is 0 would only scale that row by
+    p_k / p_(k-1), so it is skipped; those factors telescope, so the stored
+    row is the eager one times base[i] / prev, base[i] the previous pivot of
+    its last update.  Its next update divides by base[i], not prev; a pivot
+    row is caught up by prev / base[i].  Each division is exact.  Returns the
+    last pivot, 1 when n is 0.  Row i is left with its pivot U_ii in column i
+    and U_ij to the right of it, the integers of the eager sweep; entries to
+    its left are stale."""
+    prev = 1
     base = [1] * n
     for k in range(n):
-        if not w[k][k]:
-            piv = next((r for r in range(k + 1, n) if w[r][k]), None)
-            if piv is None:
-                raise SingularMatrixError(k)
-            w[k], w[piv] = w[piv], w[k]
-            base[k], base[piv] = base[piv], base[k]
-            sign = -sign
+        if not w[k][k]:  # positive semidefinite: the column below is zero too
+            if any(w[r][k] for r in range(k + 1, n)):
+                raise ValueError(f"zero pivot in column {k} needs a row exchange")
+            raise SingularMatrixError(k)
         top = w[k]
         if base[k] != prev:
             top[k:] = [x * prev // base[k] for x in top[k:]]
@@ -229,28 +228,26 @@ def _eliminate(w: list, n: int) -> tuple:
                     row[j] = (row[j] * p - f * top[j]) // prev
                 base[i] = p
         prev = p
-    return sign, prev
+    return prev
 
 
 def invert_rows(rows: Sequence[Sequence], unit) -> list:
     """Inverse of the square matrix ``rows`` by Gauss-Jordan elimination,
-    taking the first nonzero pivot of each column.
+    pivoting on the diagonal.
 
     Works in any scalar field: ``unit`` is its one, ``Fraction(1)`` for the
     exact inverse or ``1.0`` for the float mirror of the derivative check.
-    Raises SingularMatrixError (carrying the failing pivot column) when no
-    nonzero pivot exists.
+    A zero pivot raises SingularMatrixError(column) when the column below it
+    is zero too, else a ValueError, since it would need a row exchange.
     """
     n = len(rows)
     a = [list(row) for row in rows]
     b = [[unit * (i == j) for j in range(n)] for i in range(n)]
     for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
+        if a[col][col] == 0:
+            if any(a[r][col] != 0 for r in range(col + 1, n)):
+                raise ValueError(f"zero pivot in column {col} needs a row exchange")
             raise SingularMatrixError(col)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
         inv_p = 1 / a[col][col]
         a[col] = [x * inv_p for x in a[col]]
         b[col] = [x * inv_p for x in b[col]]

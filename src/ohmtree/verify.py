@@ -327,7 +327,8 @@ def _unions(net, rng):
 
     # one shared vertex: product rule
     (g1, x1), (g2, x2) = _terminals(rng, [_small_part(rng), _small_part(rng)], 1)
-    check("cut-vertex", spantree.union_at(g1, [x1], g2, [x2]), tcount(g1) * tcount(g2))
+    glued = spantree.union_at(g1, [x1], g2, [x2])
+    check("cut-vertex", glued, spantree.union_cut_vertex([tcount(g1), tcount(g2)]))
 
     # two shared vertices: bilinear rule
     pair = _terminals(rng, [_small_part(rng), _small_part(rng)], 2)

@@ -8,6 +8,7 @@ import pytest
 
 from ohmtree import spantree
 from ohmtree.cli import EXIT_FAIL, EXIT_PIPE, load_graph, main, parse_graph_text
+from ohmtree.graph import wheel_graph
 from ohmtree.resistnet import Network
 
 TRIANGLE = """\
@@ -196,6 +197,16 @@ def test_cmd_spantree_methods(tmp_path, capsys, monkeypatch):
     for method in ("matrix", "dc", "enum", "vertex-del"):
         assert main(["spantree", single, "--method", method]) == 0
         assert capsys.readouterr().out.strip() == "1"
+
+    # a wheel expands over its first rim vertex, of degree 3, not over the
+    # hub and every subset of its eight neighbours
+    wheel = write(tmp_path, wheel_graph(8).canonical_text(), "wheel.graph")
+    expanded, count = [], spantree.vertex_deletion_count
+    monkeypatch.setattr(
+        spantree, "vertex_deletion_count", lambda g, u: expanded.append(u) or count(g, u)
+    )
+    assert main(["spantree", wheel, "--method", "vertex-del"]) == 0
+    assert capsys.readouterr().out.strip() == "2205" and expanded == ["v1"]
 
     # K5 takes a few hundred deletion-contraction nodes
     monkeypatch.setattr(spantree, "DC_NODE_BUDGET", 10)

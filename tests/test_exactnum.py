@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 from operator import mul
@@ -41,8 +42,26 @@ def cofactor_det(m: Matrix) -> Fraction:
     return total
 
 
-def random_matrix(rng, n, lo=-4, hi=4):
-    return Matrix([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
+def random_gram(rng, n, k, lo=-4, hi=4):
+    """A A^T for a random integer n x k matrix A: symmetric positive
+    semidefinite, and singular when k < n."""
+    a = [[rng.randint(lo, hi) for _ in range(k)] for _ in range(n)]
+    return Matrix([[sum(map(mul, r, c)) for c in a] for r in a])
+
+
+EXCHANGE = "zero pivot in column {} needs a row exchange"
+
+
+def needs_exchange(column: int):
+    """pytest.raises for the plain ValueError of a zero pivot in ``column``
+    with a nonzero entry below it, not a SingularMatrixError."""
+    return pytest.raises(ValueError, match=f"^{EXCHANGE.format(column)}$")
+
+
+def exchange_column(exc: ValueError) -> int:
+    """The column named by that ValueError; fails on any other error."""
+    assert type(exc) is ValueError
+    return int(re.fullmatch(EXCHANGE.format(r"(\d+)"), str(exc))[1])
 
 
 def identity(n: int) -> Matrix:
@@ -80,51 +99,54 @@ def grid_laplacians(draw):
 
 
 @st.composite
-def sparse_matrices(draw):
-    """A mostly zero n x n matrix of Fractions (n 2-6) whose top-left entry
-    is zero and some later entry of the first column is not, so elimination
-    must swap rows for its first pivot; later columns may need swaps too, or
-    have no pivot at all."""
-    n = draw(st.integers(2, 6))
-    sign = st.sampled_from([-1, 1])
-    nonzero = st.builds(lambda s, x: s * x, sign, LENGTHS)
-    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), nonzero)
-    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
-    rows[0][0] = Fraction(0)
-    rows[draw(st.integers(1, n - 1))][0] = draw(nonzero)
-    return [rows]
+def any_graphs(draw, lengths=st.just(1)):
+    """Multigraph on 1-6 vertices with up to eight freely drawn edges, of
+    unit length unless ``lengths`` says otherwise: self-loops, parallel
+    edges, isolated vertices and several components all occur."""
+    vs = [f"v{i}" for i in range(draw(st.integers(1, 6)))]
+    ends = st.sampled_from(vs)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=8))
+    return Multigraph(
+        vs, [(f"e{k}", u, v, draw(lengths)) for k, (u, v) in enumerate(pairs)]
+    )
 
 
-def eager_eliminate(w: list, n: int) -> tuple:
+@st.composite
+def unit_cofactors(draw):
+    """The unit matrix-tree cofactor of a multigraph from ``any_graphs``,
+    the other matrix the package eliminates: positive semidefinite, and
+    singular in some column when the graph is disconnected."""
+    cofactor = spantree._unit_cofactor(draw(any_graphs()))
+    return [[list(cofactor.row(i)) for i in range(cofactor.rows)]]
+
+
+def eager_eliminate(w: list, n: int) -> int:
     """The Bareiss forward sweep that updates every row below the pivot at
     every step, also a row whose multiplier is 0: the reference for the lazy
-    sweep of ``_eliminate``, with the same pivots and return value."""
-    sign, prev = 1, 1
+    sweep of ``_eliminate`` on positive semidefinite rows, where a zero pivot
+    has a zero column below it, with the same pivots and return value."""
+    prev = 1
     for k in range(n):
         if not w[k][k]:
-            piv = next((r for r in range(k + 1, n) if w[r][k]), None)
-            if piv is None:
-                raise SingularMatrixError(k)
-            w[k], w[piv] = w[piv], w[k]
-            sign = -sign
+            raise SingularMatrixError(k)
         top, p = w[k], w[k][k]
         for row in w[k + 1 : n]:
             f = row[k]
             pairs = zip(row[k + 1 :], top[k + 1 :])
             row[k + 1 :] = [(x * p - f * y) // prev for x, y in pairs]
         prev = p
-    return sign, prev
+    return prev
 
 
 def _sweep(eliminate, w: list, n: int):
-    """Sign, last pivot and U | B, each row from its diagonal on, that
+    """Last pivot and U | B, each row from its diagonal on, that
     ``eliminate`` leaves in a copy of ``w``; or the SingularMatrixError column."""
     w = [list(row) for row in w]
     try:
-        sign, last = eliminate(w, n)
+        last = eliminate(w, n)
     except SingularMatrixError as exc:
         return exc.pivot
-    return sign, last, [row[i:] for i, row in enumerate(w)]
+    return last, [row[i:] for i, row in enumerate(w)]
 
 
 def _assert_sweeps_agree(rows) -> None:
@@ -138,11 +160,12 @@ def _assert_sweeps_agree(rows) -> None:
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
-@given(matrices=st.one_of(grid_laplacians(), sparse_matrices()))
+@given(matrices=st.one_of(grid_laplacians(), unit_cofactors()))
 def test_lazy_sweep_matches_eager(matrices):
-    """Grid Laplacians (grounded and whole) and sparse matrices that need row
-    swaps: a row skipped at some steps and caught up later holds exactly the
-    integers of the sweep that rescales it at every step."""
+    """Grid Laplacians (grounded and whole) and unit cofactors of any
+    multigraph: a row skipped at some steps and caught up later holds exactly
+    the integers of the sweep that rescales it at every step, and a column
+    without a pivot is found at the same step."""
     for rows in matrices:
         _assert_sweeps_agree(rows)
 
@@ -161,15 +184,18 @@ def test_lazy_sweep_catches_up_untouched_rows():
     ]
     _assert_sweeps_agree(rows)
     w = [list(row) for row in rows]
-    assert _eliminate(w, 5) == (1, 150) and Matrix(rows).det() == 150
+    assert _eliminate(w, 5) == 150 and Matrix(rows).det() == 150
     assert w[4] == [0, 0, 0, 0, 150]
     exact = [[Fraction(x) for x in row] for row in rows]
     assert Matrix(rows).inverse() == Matrix(invert_rows(exact, Fraction(1)))
-    # the second pivot needs a row swap: the row skipped at the first step
-    # trades places, and bases, with the row updated there
+    # the second pivot would need a row exchange, past the row skipped at the
+    # first step: the sweep stops there rather than answer 0 for det -30
     rows = [[2, 0, 2], [0, 0, 3], [4, 5, 6]]
-    _assert_sweeps_agree(rows)
-    assert Matrix(rows).det() == cofactor_det(Matrix(rows)) == -30
+    assert cofactor_det(Matrix(rows)) == -30
+    with needs_exchange(1):
+        _eliminate([list(row) for row in rows], 3)
+    with needs_exchange(1):
+        Matrix(rows).det()
 
 
 def test_rational_coercion():
@@ -208,11 +234,17 @@ def test_det_empty_and_rectangular():
 
 
 def test_det_matches_cofactor_expansion():
+    # Gram matrices, singular for fewer columns than rows: a zero pivot has
+    # a zero column below it, and the determinant is 0
     rng = random.Random(4)
+    singular = 0
     for n in (1, 2, 3, 4):
         for _ in range(25):
-            m = random_matrix(rng, n)
-            assert m.det() == cofactor_det(m)
+            m = random_gram(rng, n, rng.randint(1, n))
+            det = m.det()
+            assert det == cofactor_det(m)
+            singular += det == 0
+    assert 20 <= singular <= 80
 
 
 def test_det_rational_entries():
@@ -231,7 +263,7 @@ def test_inverse_random_roundtrip():
     done = 0
     while done < 30:
         n = rng.randint(1, 6)
-        m = random_matrix(rng, n)
+        m = random_gram(rng, n, n)
         if m.det() == 0:
             continue
         done += 1
@@ -337,10 +369,12 @@ def test_inverse_matches_gauss_jordan():
 
     singular = 0
     for trial in range(300):
-        n = rng.randint(1, 7)
-        rows = [[entry() for _ in range(n)] for _ in range(n)]
-        if trial % 2:
-            rows[0][0] = Fraction(0)  # the first pivot needs a row swap
+        # A A^T + s I for a sparse rational n x k matrix A: positive definite
+        # for s = 1, and for s = 0 singular when A has a zero row or k < n,
+        # so that a pivot may be 0 with a zero column below it
+        n, k, s = rng.randint(1, 7), rng.randint(1, 7), trial % 2
+        a = [[entry() for _ in range(k)] for _ in range(n)]
+        rows = [[sum(map(mul, r, c)) + s * (r is c) for c in a] for r in a]
         fraction_free, gauss_jordan = _invert_both(rows)
         if isinstance(gauss_jordan, SingularMatrixError):
             singular += 1
@@ -365,11 +399,17 @@ def test_inverse_matches_gauss_jordan():
 
 
 def test_float_inverse_zero_leading_pivot():
-    # the float routine swaps rows, so both sides of the system must move
+    # the float routine pivots on the diagonal as the exact kernel does: a
+    # zero leading pivot is singular when its column below is zero too, and
+    # otherwise would need a row exchange, so both raise rather than answer
+    with pytest.raises(SingularMatrixError) as info:
+        invert_rows([[0.0, 0.0], [0.0, 2.0]], 1.0)
+    assert info.value.pivot == 0
     rows = [[0.0, 1.0], [1.0, 2.0]]
-    exact = Matrix([[Fraction(x) for x in row] for row in rows]).inverse()
-    approx = invert_rows(rows, 1.0)
-    assert approx == [[float(exact[i, j]) for j in range(2)] for i in range(2)]
+    with needs_exchange(0):
+        invert_rows(rows, 1.0)
+    with needs_exchange(0):
+        Matrix([[Fraction(x) for x in row] for row in rows]).inverse()
 
 
 def test_float_inverse_matches_exact():
@@ -401,3 +441,8 @@ def test_drop():
     for i, j in ((3, 0), (0, 3), (-1, 0), (0, -1)):
         with pytest.raises(IndexError):
             m.drop(i, j)
+        with pytest.raises(IndexError):
+            m[i, j]
+        if j == 0:
+            with pytest.raises(IndexError):
+                m.row(i)

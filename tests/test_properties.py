@@ -6,18 +6,27 @@ surgered graph and the facts it inherits equal a graph built afresh from
 its vertices and edges, the identified count of overlapping groups equals
 identifying one group at a time, an exact ``Matrix`` is canonical whatever
 form its entries are written in, its one elimination agrees with Fraction
-arithmetic on banded grid Laplacians and on matrices that need row swaps,
-and a failure shrinks to the smallest counterexample graph."""
+arithmetic on banded grid Laplacians and on unit tree-count cofactors and
+answers any other matrix exactly or names the pivot that would need a row
+exchange, and a failure shrinks to the smallest counterexample graph."""
 
 from contextlib import nullcontext
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_exactnum import LENGTHS, cofactor_det, grid_laplacians, sparse_matrices
+from test_exactnum import (
+    LENGTHS,
+    any_graphs,
+    cofactor_det,
+    exchange_column,
+    grid_laplacians,
+    unit_cofactors,
+)
 
 from ohmtree import resistnet, spantree
 from ohmtree.exactnum import Matrix, SingularMatrixError, invert_rows, remembering
@@ -38,19 +47,6 @@ def graphs(draw):
     pairs += draw(st.lists(st.tuples(ends, ends), max_size=4))
     return Multigraph(
         vs, [(f"e{k}", u, v, draw(LENGTHS)) for k, (u, v) in enumerate(pairs)]
-    )
-
-
-@st.composite
-def any_graphs(draw, lengths=st.just(1)):
-    """Multigraph on 1-6 vertices with up to eight freely drawn edges, of
-    unit length unless ``lengths`` says otherwise: self-loops, parallel
-    edges, isolated vertices and several components all occur."""
-    vs = [f"v{i}" for i in range(draw(st.integers(1, 6)))]
-    ends = st.sampled_from(vs)
-    pairs = draw(st.lists(st.tuples(ends, ends), max_size=8))
-    return Multigraph(
-        vs, [(f"e{k}", u, v, draw(lengths)) for k, (u, v) in enumerate(pairs)]
     )
 
 
@@ -341,10 +337,14 @@ def _canonical(m):
 
 
 def _inverse_or_pivot(invert):
+    """The canonical inverse, or the SingularMatrixError column, or the
+    column and message of a zero pivot that would need a row exchange."""
     try:
         return _canonical(invert())
     except SingularMatrixError as exc:
         return exc.pivot
+    except ValueError as exc:
+        return exchange_column(exc), str(exc)
 
 
 @settings(SETTINGS, max_examples=100)
@@ -361,21 +361,46 @@ def test_matrix_is_canonical(case):
         for j in range(n):
             kept = [r[:j] + r[j + 1 :] for h, r in enumerate(rows) if h != i]
             assert _canonical(m.drop(i, j)) == Matrix(kept)
-    assert m.det() == cofactor_det(ref)
     inverse = _inverse_or_pivot(m.inverse)
     expect = _inverse_or_pivot(lambda: Matrix(invert_rows(rows, Fraction(1))))
     assert inverse == expect and hash(inverse) == hash(expect)
 
 
+@settings(SETTINGS, max_examples=100)
+@given(case=rational_matrices())
+def test_det_is_exact_or_needs_row_exchange(case):
+    """On any square matrix ``det`` is the cofactor expansion, or raises the
+    ValueError of a zero pivot at column k with a nonzero entry below it: the
+    leading (k + 1) x (k + 1) minor is 0 and the leading k x k minor is not."""
+    rows, _ = case
+    m = Matrix(rows)
+    try:
+        det = m.det()
+    except ValueError as exc:
+        k = exchange_column(exc)
+        minor = [cofactor_det(Matrix([r[:h] for r in rows[:h]])) for h in (k, k + 1)]
+        assert minor[0] != 0 and minor[1] == 0
+    else:
+        assert det == cofactor_det(m)
+
+
 def test_matrix_canonical_examples():
     with pytest.raises(TypeError):
         Matrix([[1, 0.5]])
-    # the last Bareiss pivot is negative for the second and third matrices,
-    # so the inverse's common denominator has its sign flipped
-    for rows in ([[0, 1], [1, 0]], [[0, 1], [-1, 0]], [[Fraction(-2, 3)]]):
+    # the last Bareiss pivot is negative for these matrices, so the inverse's
+    # common denominator has its sign flipped
+    for rows in ([[1, 2], [3, 4]], [[-1, 2], [2, -1]], [[Fraction(-2, 3)]]):
         inverse = Matrix(rows).inverse()
         ref = Matrix(invert_rows([[Fraction(x) for x in r] for r in rows], Fraction(1)))
         assert _canonical(inverse) == ref and hash(inverse) == hash(ref)
+    # a zero first pivot over a nonzero entry needs a row exchange: every
+    # elimination raises rather than answer, det 0 least of all
+    for rows in ([[0, 1], [1, 0]], [[0, 1], [-1, 0]]):
+        m, exact = Matrix(rows), [[Fraction(x) for x in r] for r in rows]
+        for call in (m.det, m.inverse, partial(invert_rows, exact, Fraction(1))):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert exchange_column(info.value) == 0
 
 
 def _fraction_det(rows):
@@ -395,13 +420,14 @@ def _fraction_det(rows):
 
 
 @SETTINGS
-@given(matrices=st.one_of(grid_laplacians(), sparse_matrices()))
-def test_kernel_on_banded_and_row_swapping_matrices(matrices):
+@given(matrices=st.one_of(grid_laplacians(), unit_cofactors()))
+def test_kernel_on_banded_and_cofactor_matrices(matrices):
     """The one elimination behind ``det`` and ``inverse``, on the banded
-    matrices a Laplacian gives and on sparse ones that need row swaps: the
-    inverse, or the column without a pivot, is that of Gauss-Jordan in
-    Fractions, and the determinant that of a cofactor expansion or of
-    Gaussian elimination in Fractions."""
+    matrices a grid Laplacian gives and on the unit tree-count cofactors of
+    any multigraph, singular ones included: the inverse, or the column
+    without a pivot, is that of Gauss-Jordan in Fractions, and the
+    determinant that of a cofactor expansion or of Gaussian elimination in
+    Fractions."""
     for rows in matrices:
         m = Matrix(rows)
         inverse = _inverse_or_pivot(m.inverse)

@@ -210,12 +210,13 @@ def test_pseudo_inverse_path2():
 
 
 def rank_one_reference(lap):
-    # the pseudo-inverse by the rank-one correction (L - J/n)^-1 + J/n,
-    # independent of the grounded inverse the package computes
+    # the pseudo-inverse by the rank-one correction (L + J/n)^-1 - J/n, of a
+    # positive definite matrix, independent of the grounded inverse the
+    # package computes
     n = lap.rows
-    shifted = Matrix([[x - Fraction(1, n) for x in lap.row(i)] for i in range(n)])
+    shifted = Matrix([[x + Fraction(1, n) for x in lap.row(i)] for i in range(n)])
     inverse = shifted.inverse()
-    return Matrix([[x + Fraction(1, n) for x in inverse.row(i)] for i in range(n)])
+    return Matrix([[x - Fraction(1, n) for x in inverse.row(i)] for i in range(n)])
 
 
 def test_pseudo_inverse_axioms():
