@@ -6,8 +6,9 @@ Each mutant is one textual replacement in one module of ``src/ohmtree``: a
 flipped sign, an off-by-one shift, a dropped correction or a swapped
 argument in a shared helper.  For each mutant the script copies ``src/`` to
 a temporary directory, applies the replacement there (its text must occur
-exactly once) and runs the property, tree-count, network, kernel,
-polynomial and identity-suite tests against the copy with ``pytest -x``.
+exactly once) and runs the property, graph, reduction, tree-count,
+network, kernel, polynomial and identity-suite tests against the copy with
+``pytest -x``.
 The mutant is killed when pytest fails.  The unmutated copy is run first
 and must pass.
 
@@ -30,6 +31,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TESTS = [
     "tests/test_properties.py",
+    "tests/test_graph.py",
+    "tests/test_reduction.py",
     "tests/test_spantree.py",
     "tests/test_resistnet.py",
     "tests/test_exactnum.py",
@@ -123,6 +126,18 @@ MUTANTS = [
         "resistnet.py",
         'return drop if kind == "bridge-on-path" else Fraction(0)',
         "return Fraction(0)",
+    ),
+    (
+        "euler-uniform-term",
+        "resistnet.py",
+        "** 2 / L)",
+        "** 2 / (2 * L))",
+    ),
+    (
+        "euler-split-label-pair",
+        "resistnet.py",
+        "g.bridge_kind(ed.id, s, t), term(",
+        "g.bridge_kind(ed.id, s, s), term(",
     ),
     (
         "pseudo-inverse-centring",
@@ -305,6 +320,24 @@ MUTANTS = [
         "(g.delete_edge(e), False)",
     ),
     (
+        "dc-contracts-through-memo",
+        "spantree.py",
+        "(_contracted(g, e), False)",
+        "(g.contract_edge(e)[0], False)",
+    ),
+    (
+        "union-fixed-tag",
+        "spantree.py",
+        '_first_free((f"u{k}" for k in count(2)), taken)',
+        '"u2"',
+    ),
+    (
+        "reduce-fresh-id-ignores-kept",
+        "reduction.py",
+        "_first_free(ids, {ed.id for ed in kept})",
+        "next(ids)",
+    ),
+    (
         "dc-root-connectivity-unchecked",
         "spantree.py",
         "    if not graph.is_connected():\n        return 0\n    total, nodes",
@@ -345,6 +378,12 @@ MUTANTS = [
         "resistnet.py",
         '("cut", self.graph, e)',
         '("cut", self.graph)',
+    ),
+    (
+        "identify-overlap-unchecked",
+        "graph.py",
+        "if seen.intersection(group):",
+        "if False:",
     ),
     (
         "delete-vertex-stale-index",

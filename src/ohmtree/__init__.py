@@ -12,8 +12,8 @@ _EXPORTS = {
     "graph": (
         "DisconnectedError", "Edge", "GraphError", "MergedVertex", "Multigraph",
         "PreconditionError", "UnknownEdgeError", "UnknownVertexError",
-        "VertexPartition", "banana_graph", "complete_graph", "cycle_graph",
-        "fan_graph", "path_graph", "wheel_graph",
+        "banana_graph", "complete_graph", "cycle_graph", "fan_graph",
+        "path_graph", "wheel_graph",
     ),
     "polyseq": (),
     "reduction": ("ReductionTrace", "delta_y", "reduce_two_terminal"),
@@ -32,8 +32,8 @@ _EXPORTS = {
         "identification_quadratic", "identified_count", "resistance_from_trees",
         "spanning_tree_euler", "star_augmentation_count", "union_banana_of_paths",
         "union_cut_vertex", "union_cycle_replacement", "union_k_banana",
-        "union_three_vertices", "union_three_vertices_identical",
-        "union_two_vertices", "vertex_deletion_count", "voltage_from_trees",
+        "union_three_vertices", "union_two_vertices", "vertex_deletion_count",
+        "voltage_from_trees",
     ),
     "verify": ("GraphGenSpec", "IdentityReport", "run_suite"),
 }

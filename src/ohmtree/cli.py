@@ -11,8 +11,9 @@ Graph files are read as UTF-8.  Exact fractions are the primary output
 12 significant digit decimal follows where that helps a human.  Exit codes:
 0 ok, 1 verification failures, 2 parse error, 3 disconnected graph,
 4 unknown vertex or edge, 5 violated hypothesis, bad parameters or an
-exceeded budget (``spantree --method enum`` or ``dc``), 141 (128 + SIGPIPE)
-when the reader of stdout goes away, as in ``ohmtree verify | head -1``.
+exceeded budget (``spantree --method enum``, ``dc`` or ``vertex-del``), 141
+(128 + SIGPIPE) when the reader of stdout goes away, as in
+``ohmtree verify | head -1``.
 """
 
 from __future__ import annotations

@@ -116,25 +116,6 @@ class Edge(NamedTuple):
         return self.u == self.v
 
 
-class VertexPartition:
-    """Disjoint groups of vertices to identify; absent vertices stay singleton."""
-
-    def __init__(self, groups: Iterable[Iterable[VertexId]]):
-        gs = tuple(tuple(g) for g in groups)
-        seen: Set[VertexId] = set()
-        for g in gs:
-            if not g:
-                raise GraphError("empty identification group")
-            members = set(g)
-            if members & seen:
-                raise GraphError(f"overlapping identification groups: {g}")
-            seen |= members
-        self.groups = gs
-
-    def __iter__(self):
-        return iter(self.groups)
-
-
 class Multigraph:
     """Undirected multigraph with parallel edges, self-loops, and positive
     rational edge lengths (resistances)."""
@@ -184,18 +165,10 @@ class Multigraph:
         self._hash = None
 
     @classmethod
-    def from_edges(
-        cls, pairs: Iterable, vertices: Iterable[VertexId] = ()
-    ) -> "Multigraph":
+    def from_edges(cls, pairs: Iterable) -> "Multigraph":
         """Build from (u, v) or (u, v, length) tuples with auto edge ids e1.."""
-        edges = []
-        vs = set(vertices)
-        for k, spec in enumerate(pairs, start=1):
-            u, v, *rest = spec
-            edges.append((f"e{k}", u, v, *rest))
-            vs.add(u)
-            vs.add(v)
-        return cls(vs, edges)
+        edges = [(f"e{k}", *spec) for k, spec in enumerate(pairs, start=1)]
+        return cls({w for e in edges for w in e[1:3]}, edges)
 
     # -- basic queries ---------------------------------------------------
 
@@ -410,18 +383,24 @@ class Multigraph:
     ) -> Tuple["Multigraph", Dict[VertexId, VertexId]]:
         """Collapse each group of the partition to a single vertex.
 
-        Edges with both endpoints in one group become self-loops; the edge
-        multiset is otherwise preserved.  Returns the new graph and a rename
-        map defined on every vertex of the original graph.  The result is
-        remembered per equal graph and partition, singleton groups dropped,
-        and every call returns its own copy of the rename map.
+        The groups must be nonempty and disjoint.  Edges with both endpoints
+        in one group become self-loops; the edge multiset is otherwise
+        preserved.  Returns the new graph and a rename map defined on every
+        vertex of the original graph.  The result is remembered per equal
+        graph and partition, singleton groups dropped, and every call returns
+        its own copy of the rename map.
         """
-        if not isinstance(partition, VertexPartition):
-            partition = VertexPartition(partition)
-        for group in partition:
-            for v in group:
-                self.position(v)
-        groups = frozenset(g for g in map(frozenset, partition) if len(g) > 1)
+        parts = [tuple(group) for group in partition]
+        seen: Set[VertexId] = set()
+        for group in parts:
+            if not group:
+                raise GraphError("empty identification group")
+            if seen.intersection(group):
+                raise GraphError(f"overlapping identification groups: {group}")
+            seen.update(group)
+        for v in (v for group in parts for v in group):
+            self.position(v)
+        groups = frozenset(g for g in map(frozenset, parts) if len(g) > 1)
         graph, renames = remember(
             ("identify", self, groups), lambda: self._identified_by(groups)
         )

@@ -24,19 +24,6 @@ class IntPolynomial:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = IntPolynomial((other,))
-        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        # a constant equals its int, so it hashes as one (zero included)
-        return hash(sum(self.coeffs)) if self.degree < 1 else hash(self.coeffs)
-
     def __add__(self, other) -> "IntPolynomial":
         other = _as_poly(other)
         a, b = self.coeffs, other.coeffs

@@ -101,7 +101,8 @@ def reduce_two_terminal(
     trace = ReductionTrace()
     budget = max(10 * graph.m, 50)
     g = graph
-    parallel_ids, series_ids = count(1), count(1)
+    parallel_ids = (f"par{k}" for k in count(1))
+    series_ids = (f"ser{k}" for k in count(1))
     for _ in range(budget):
         done = _finished(g, s, t)
         if done is not None:
@@ -146,10 +147,8 @@ def _merge_parallel(g: Multigraph, trace, ids) -> Optional[Multigraph]:
         if len(group) < 2:
             continue
         conductance = sum((1 / ed.length for ed in group), Fraction(0))
-        merged = Edge(f"par{next(ids)}", key[0], key[1], 1 / conductance)
-        trace.add("parallel", tuple(ed.id for ed in group), (merged,))
-        kept = [ed for ed in g.edges() if ed not in group]
-        return Multigraph(g.vertices(), kept + [merged])
+        consumed = tuple(ed.id for ed in group)
+        return _merge(g, trace, "parallel", ids, consumed, (*key, 1 / conductance))
     return None
 
 
@@ -161,16 +160,19 @@ def _merge_series(g: Multigraph, trace, ids, s, t) -> Optional[Multigraph]:
         if len(inc) != 2 or any(g.edge(e).is_loop() for e in inc):
             continue
         e1, e2 = (g.edge(e) for e in inc)
-        merged = Edge(
-            f"ser{next(ids)}",
-            e1.other_end(v),
-            e2.other_end(v),
-            e1.length + e2.length,
-        )
-        trace.add("series", (e1.id, e2.id), (merged,))
-        kept = [ed for ed in g.edges() if ed.id not in (e1.id, e2.id)]
-        return Multigraph(set(g.vertices()) - {v}, kept + [merged])
+        new = (e1.other_end(v), e2.other_end(v), e1.length + e2.length)
+        return _merge(g, trace, "series", ids, (e1.id, e2.id), new, {v})
     return None
+
+
+def _merge(g: Multigraph, trace, rule, ids, consumed, new, gone=frozenset()):
+    """G without the vertices ``gone`` and with the consumed edges replaced
+    by one edge ``new`` = (u, v, length), whose id is the first of ``ids``
+    that no kept edge has."""
+    kept = [ed for ed in g.edges() if ed.id not in consumed]
+    merged = Edge(_first_free(ids, {ed.id for ed in kept}), *new)
+    trace.add(rule, consumed, (merged,))
+    return Multigraph(g.vertices() - gone, kept + [merged])
 
 
 def _apply_delta_y(g: Multigraph, trace) -> Optional[Multigraph]:

@@ -193,45 +193,37 @@ def resistance_derivative(
     return diff * diff / (net.graph.length(e) + big_r) ** 2
 
 
-def euler_decomposition(net: Network, s: VertexId, t: VertexId) -> List[EulerTerm]:
-    """Split r(s, t) into one nonnegative term per edge.
+def _split(net: Network, s: VertexId, t: VertexId, term) -> List[EulerTerm]:
+    """One term of r(s, t) per edge (p, q) of length L, ``term(p, q, L)``,
+    labelled by how the edge sits between s and t; no label changes a term."""
+    g = net.graph
+    g.position(s), g.position(t)
+    return [
+        EulerTerm(ed.id, g.bridge_kind(ed.id, s, t), term(ed.u, ed.v, ed.length))
+        for ed in g.edges()
+    ]
 
-    Bridges on every s-t path contribute their full length; other bridges
-    contribute 0; a non-bridge edge e = (p, q) of length L contributes
-    (j_p(q, s) - j_p(q, t))^2 / L, with voltages taken in the whole network.
-    The contributions sum exactly to r(s, t).
-    """
-    net.graph.position(s), net.graph.position(t)
-    terms = []
-    for ed in net.graph.edges():
-        kind = net.graph.bridge_kind(ed.id, s, t)
-        if kind == "non-bridge":
-            diff = net.voltage(ed.u, ed.v, s) - net.voltage(ed.u, ed.v, t)
-            c = diff * diff / ed.length
-        else:
-            c = ed.length if kind == "bridge-on-path" else Fraction(0)
-        terms.append(EulerTerm(ed.id, kind, c))
-    return terms
+
+def euler_decomposition(net: Network, s: VertexId, t: VertexId) -> List[EulerTerm]:
+    """Split r(s, t) into one nonnegative term per edge: e = (p, q) of length
+    L contributes (j_p(q, s) - j_p(q, t))^2 / L, with voltages taken in the
+    whole network.  A bridge's voltage difference is +-L when it separates s
+    from t and 0 otherwise, a self-loop's is 0.  The terms sum exactly to
+    r(s, t)."""
+    j = net.voltage
+    return _split(net, s, t, lambda p, q, L: (j(p, q, s) - j(p, q, t)) ** 2 / L)
 
 
 def euler_decomposition_resistance_only(
     net: Network, s: VertexId, t: VertexId
 ) -> List[EulerTerm]:
-    """Alternative split of r(s, t) using resistances only, uniform over all
-    edges:  each edge (p, q) of length L contributes
-    (r(p,s) - r(q,s) - r(p,t) + r(q,t))^2 / (4 L)."""
-    net.graph.position(s), net.graph.position(t)
-    terms = []
-    for ed in net.graph.edges():
-        kind = net.graph.bridge_kind(ed.id, s, t)
-        diff = (
-            net.resistance(ed.u, s)
-            - net.resistance(ed.v, s)
-            - net.resistance(ed.u, t)
-            + net.resistance(ed.v, t)
-        )
-        terms.append(EulerTerm(ed.id, kind, diff * diff / (4 * ed.length)))
-    return terms
+    """The same split from resistances only: each edge (p, q) of length L
+    contributes (r(p,s) - r(q,s) - r(p,t) + r(q,t))^2 / (4 L), since the
+    bracket is 2 (j_p(q, s) - j_p(q, t))."""
+    r = net.resistance
+    return _split(
+        net, s, t, lambda p, q, L: (r(p, s) - r(q, s) - r(p, t) + r(q, t)) ** 2 / (4 * L)
+    )
 
 
 def shorting_delta(

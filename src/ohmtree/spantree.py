@@ -5,7 +5,7 @@ Counting methods (all exact, edge lengths ignored, self-loops ignored):
 * matrix-tree cofactor with fraction-free determinant,
 * deletion-contraction recursion,
 * brute-force subset enumeration (the oracle, budget-guarded),
-* expansion over the neighborhood of a deleted vertex.
+* expansion over the neighborhood of a deleted vertex (budget-guarded).
 
 On top of those sit the composite-graph product/sum formulas for graphs glued
 at one, two, or three vertices, the quadratic identification identities, the
@@ -57,6 +57,7 @@ def _unit_cofactor(graph: Multigraph) -> Matrix:
 
 DC_NODE_BUDGET = 100_000
 ENUM_EDGE_BUDGET = 20
+VERTEX_DEL_SUBSET_BUDGET = 20_000
 
 
 def _without_loops(g: Multigraph) -> Multigraph:
@@ -92,14 +93,20 @@ def count_deletion_contraction(graph: Multigraph) -> int:
         while may_bridge and (
             bridge := next((e for e in g.edge_ids() if g.is_bridge(e)), None)
         ) is not None:
-            g = _without_loops(g.contract_edge(bridge)[0])
+            g = _without_loops(_contracted(g, bridge))
         if g.m == 0:
             total += 1  # connected without edges: a single vertex
             continue
         busiest = max(g.sorted_vertices(), key=lambda v: (g.degree(v), g.position(v)))
         e = g.incident(busiest)[0]  # incidence lists are in sorted id order
-        pending += [(g.delete_edge(e), True), (g.contract_edge(e)[0], False)]
+        pending += [(g.delete_edge(e), True), (_contracted(g, e), False)]
     return total
+
+
+def _contracted(g: Multigraph, e: EdgeId) -> Multigraph:
+    """G / e for a non-loop edge, identified without ``exactnum.remember``,
+    so a count inside ``exactnum.remembering()`` keeps none of its graphs."""
+    return g.delete_edge(e)._identified_by(frozenset([frozenset(g.endpoints(e))]))[0]
 
 
 def count_enumeration(graph: Multigraph) -> int:
@@ -112,33 +119,26 @@ def count_enumeration(graph: Multigraph) -> int:
         raise PreconditionError(
             f"enumeration budget exceeded: {len(edges)} > {ENUM_EDGE_BUDGET} edges"
         )
-    n = graph.n
-    if n == 1:
-        return 1
-    need = n - 1
-    if len(edges) < need:
-        return 0
-    count = 0
+    parent: List[int] = []
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    trees = 0
     ends = [(graph.position(e.u), graph.position(e.v)) for e in edges]
-    for subset in combinations(ends, need):
-        parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        ok = True
+    for subset in combinations(ends, graph.n - 1):
+        parent[:] = range(graph.n)
         for u, v in subset:
             ra, rb = find(u), find(v)
             if ra == rb:
-                ok = False
                 break
             parent[ra] = rb
-        if ok:
-            count += 1
-    return count
+        else:
+            trees += 1
+    return trees
 
 
 def count_identified(graph: Multigraph, partition) -> int:
@@ -318,12 +318,6 @@ def union_three_vertices(
     return t1 * t2pqs + t2 * t1pqs + bracket // 2
 
 
-def union_three_vertices_identical(t1: int, t1pqs: int) -> int:
-    """Two copies of the same part glued along the same three vertices:
-    the general formula collapses to 4 t1 t1pqs."""
-    return 4 * t1 * t1pqs
-
-
 # -- vertex deletion --------------------------------------------------------
 
 
@@ -360,7 +354,8 @@ def vertex_deletion_count(
                of (prod of the a_i in S) t(H with S identified),
 
     where H = G - u and a_i is the number of parallel edges from u to its
-    i-th neighbor.  Returns the total and the term-by-term report.
+    i-th neighbor.  Returns the total and the term-by-term report; raises
+    :class:`PreconditionError` past ``VERTEX_DEL_SUBSET_BUDGET`` subsets.
     """
     graph.position(u)
     if graph.n < 2:
@@ -369,6 +364,11 @@ def vertex_deletion_count(
     if not h.is_connected():
         raise PreconditionError(f"{u!r} is a cut vertex")
     neighbors = graph.neighbors_with_multiplicity(u)
+    subsets = 2 ** len(neighbors) - len(neighbors) - 1
+    if subsets > VERTEX_DEL_SUBSET_BUDGET:
+        raise PreconditionError(
+            f"vertex-del budget exceeded: {subsets} > {VERTEX_DEL_SUBSET_BUDGET} subsets"
+        )
     terms = [ExpansionTerm((), sum(a for _, a in neighbors), count_matrix_tree(h))]
     terms += (
         ExpansionTerm(vs, coeff, identified_count(h, vs))
@@ -544,27 +544,28 @@ def _relabeled_edges(graph: Multigraph, vmap: Dict, tag) -> Iterable[Tuple]:
         yield ((tag, ed.id), vmap[ed.u], vmap[ed.v], ed.length)
 
 
-UNION_TAG = "u2"
-
-
 def union_at(
     g1: Multigraph,
     points1: Sequence[VertexId],
     g2: Multigraph,
     points2: Sequence[VertexId],
 ) -> Multigraph:
-    """Glue g2 onto g1, matching points2[i] to points1[i]; other vertices v
-    of g2 are relabeled (UNION_TAG, v) to stay disjoint."""
+    """Glue g2 onto g1, matching points2[i] to points1[i]; every other vertex
+    and every edge id x of g2 becomes (tag, x), the tag being the first of
+    u2, u3, ... that starts no tuple id of g1, so the two stay disjoint."""
     if len(points1) != len(points2):
         raise GraphError("point lists must have equal length")
     for v in points1:
         g1.position(v)
     for v in points2:
         g2.position(v)
-    vmap = {v: (UNION_TAG, v) for v in g2.vertices()}
+    ids = (*g1.vertices(), *g1.edge_ids())
+    taken = {x[0] for x in ids if isinstance(x, tuple) and x}
+    tag = _first_free((f"u{k}" for k in count(2)), taken)
+    vmap = {v: (tag, v) for v in g2.vertices()}
     for a, b in zip(points1, points2):
         vmap[b] = a
-    edges = list(g1.edges()) + list(_relabeled_edges(g2, vmap, UNION_TAG))
+    edges = list(g1.edges()) + list(_relabeled_edges(g2, vmap, tag))
     return Multigraph(set(g1.vertices()) | set(vmap.values()), edges)
 
 

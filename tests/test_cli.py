@@ -8,7 +8,7 @@ import pytest
 
 from ohmtree import spantree
 from ohmtree.cli import EXIT_FAIL, EXIT_PIPE, load_graph, main, parse_graph_text
-from ohmtree.graph import wheel_graph
+from ohmtree.graph import complete_graph, wheel_graph
 from ohmtree.resistnet import Network
 
 TRIANGLE = """\
@@ -207,6 +207,11 @@ def test_cmd_spantree_methods(tmp_path, capsys, monkeypatch):
     )
     assert main(["spantree", wheel, "--method", "vertex-del"]) == 0
     assert capsys.readouterr().out.strip() == "2205" and expanded == ["v1"]
+
+    # every vertex of K24 has 23 neighbours: past the vertex-deletion budget
+    k24 = write(tmp_path, complete_graph(24).canonical_text(), "k24.graph")
+    assert main(["spantree", k24, "--method", "vertex-del"]) == 5
+    assert "budget" in capsys.readouterr().err
 
     # K5 takes a few hundred deletion-contraction nodes
     monkeypatch.setattr(spantree, "DC_NODE_BUDGET", 10)

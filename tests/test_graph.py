@@ -9,7 +9,6 @@ from ohmtree.graph import (
     Multigraph,
     UnknownEdgeError,
     UnknownVertexError,
-    VertexPartition,
     banana_graph,
     complete_graph,
     cycle_graph,
@@ -254,10 +253,11 @@ def test_merged_vertex_naming():
 
 
 def test_vertex_partition_validation():
-    with pytest.raises(GraphError):
-        VertexPartition([[]])
-    with pytest.raises(GraphError):
-        VertexPartition([["a", "b"], ["b"]])
+    g = path_graph(3)
+    with pytest.raises(GraphError, match="empty identification group"):
+        g.identify([[]])
+    with pytest.raises(GraphError, match="overlapping identification groups"):
+        g.identify([["v1", "v2"], ["v2"]])
 
 
 def test_canonical_text_and_hash_stability():

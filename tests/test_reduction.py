@@ -46,6 +46,24 @@ def test_loop_drop():
     assert "loop-drop" in {s.rule for s in trace.steps}
 
 
+@pytest.mark.parametrize(
+    "taken, edges, t, value",
+    [
+        ("par1", [("b", "c"), ("a", "b"), ("a", "b")], "c", Fraction(3, 2)),
+        ("ser1", [("c", "d"), ("a", "b"), ("b", "c")], "d", 3),
+    ],
+)
+def test_merged_edge_skips_an_input_id(taken, edges, t, value):
+    # an input edge already named par1 or ser1 stays in the graph when the
+    # first merge of its kind is made, so that merge takes the next id
+    ids = [taken, "e1", "e2"]
+    g = Multigraph({v for e in edges for v in e}, [(k, *e) for k, e in zip(ids, edges)])
+    got, trace = reduce_two_terminal(g, "a", t)
+    assert got == value
+    produced = [e.id for step in trace.steps for e in step.produced]
+    assert taken not in produced and len(set(produced)) == len(produced)
+
+
 def test_not_reducible_is_a_value():
     # a dangling branch is out of reach of the four rewrite rules
     g = path_graph(3)

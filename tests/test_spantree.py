@@ -5,7 +5,8 @@ from math import comb
 
 import pytest
 
-from ohmtree import spantree
+from ohmtree import exactnum, spantree
+from ohmtree.exactnum import remembering
 from ohmtree.graph import (
     DisconnectedError,
     GraphError,
@@ -45,7 +46,6 @@ from ohmtree.spantree import (
     union_cycle_replacement,
     union_k_banana,
     union_three_vertices,
-    union_three_vertices_identical,
     union_two_vertices,
     vertex_deletion_count,
     voltage_from_trees,
@@ -113,6 +113,13 @@ def test_deletion_contraction_visits_2t_minus_1_nodes(monkeypatch, g):
     monkeypatch.setattr(spantree, "DC_NODE_BUDGET", 2 * t - 2)
     with pytest.raises(PreconditionError):
         count_deletion_contraction(g)
+
+
+def test_deletion_contraction_keeps_nothing_in_a_memo_scope():
+    with remembering():
+        before = len(exactnum._memo)
+        assert count_deletion_contraction(wheel_graph(8)) == 2205
+        assert len(exactnum._memo) == before
 
 
 def test_enumeration_examples():
@@ -334,10 +341,17 @@ def test_union_banana_of_paths_construct_and_count():
 
 
 def test_union_three_vertices():
-    # identical halves: 4 * t * t_pqs
-    assert union_three_vertices_identical(27, 45) == 4860
     with pytest.raises(GraphError):
         union_three_vertices(1, 1, 1, 0, 0, 1, 0, 0, 1, 1)  # odd cross term
+
+
+def test_nested_union_at_takes_a_fresh_tag():
+    # the second gluing meets ("u2", ...) ids in its first part and tags u3
+    p = path_graph(2)
+    star = union_at(union_at(p, ["v1"], p, ["v1"]), ["v1"], p, ["v1"])
+    assert (star.n, star.m) == (4, 3)
+    assert count_matrix_tree(star) == 1
+    assert ("u3", "e1") in star.edge_ids()
 
 
 def test_union_three_vertices_doubled_triangle():
@@ -450,6 +464,18 @@ def test_vertex_deletion_errors():
     single = Multigraph(["a"], [])
     with pytest.raises(PreconditionError):
         vertex_deletion_count(single, "a")
+
+
+def test_vertex_deletion_subset_budget(monkeypatch):
+    # four neighbours of v1 in K5: 2^4 - 4 - 1 = 11 subsets of two or more
+    monkeypatch.setattr(spantree, "VERTEX_DEL_SUBSET_BUDGET", 11)
+    assert vertex_deletion_count(complete_graph(5), "v1")[0] == 125
+    monkeypatch.setattr(spantree, "VERTEX_DEL_SUBSET_BUDGET", 10)
+    with pytest.raises(PreconditionError, match="budget"):
+        vertex_deletion_count(complete_graph(5), "v1")
+    monkeypatch.undo()
+    with pytest.raises(PreconditionError, match="budget"):
+        vertex_deletion_count(complete_graph(24), "v1")  # 2^23 - 24 subsets
 
 
 def test_removable_vertices():
