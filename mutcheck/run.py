@@ -70,7 +70,7 @@ MUTANTS = [
     (
         "contracted-keeps-ends",
         "spantree.py",
-        "identified_count(graph.delete_edge(e), (u, v))",
+        "identified_count(graph.delete_edge(e), graph.endpoints(e))",
         "identified_count(graph.delete_edge(e))",
     ),
     (
@@ -98,10 +98,28 @@ MUTANTS = [
         "return union_k_banana(t_list, t_st_list)",
     ),
     (
+        "vertex-del-lead-neighbour-count",
+        "spantree.py",
+        "total = sum(a for _, a in neighbors) * count_matrix_tree(h)",
+        "total = len(neighbors) * count_matrix_tree(h)",
+    ),
+    (
+        "closed-form-at-one",
+        "spantree.py",
+        "return a * w_poly(n - 1, a)",
+        "return a * w_poly(n - 1, 1)",
+    ),
+    (
         "three-vertex-bracket",
         "spantree.py",
         "a1 * (-a2 + b2 + c2)",
         "a1 * (a2 + b2 + c2)",
+    ),
+    (
+        "cut-admits-bridge",
+        "resistnet.py",
+        "    if net.graph.is_bridge(e):\n",
+        "    if False:\n",
     ),
     (
         "cut-doubled-resistance",
@@ -321,9 +339,9 @@ MUTANTS = [
     ),
     (
         "dc-contracts-through-memo",
-        "spantree.py",
-        "(_contracted(g, e), False)",
-        "(g.contract_edge(e)[0], False)",
+        "graph.py",
+        "return self.delete_edge(e)._identified_by(frozenset([ends]))",
+        "return self.delete_edge(e).identify([ends])",
     ),
     (
         "union-fixed-tag",
@@ -390,6 +408,12 @@ MUTANTS = [
         "graph.py",
         "{w: i for i, w in enumerate(w for w in self._index if w != v)}",
         "self._index",
+    ),
+    (
+        "identify-merges-singletons",
+        "graph.py",
+        "for group in (g for g in groups if len(g) > 1):",
+        "for group in groups:",
     ),
     (
         "identify-unsorted-index",

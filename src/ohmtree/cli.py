@@ -148,7 +148,7 @@ def cmd_spantree(args) -> int:
         t = spantree.count_matrix_tree(g)
     else:  # the count is the same at any removable vertex: take one of least degree
         u = min(spantree.removable_vertices(g), key=g.degree)
-        t, _ = spantree.vertex_deletion_count(g, u)
+        t = spantree.vertex_deletion_count(g, u)
     print(t)
     return 0
 

@@ -13,10 +13,10 @@ id as merging {a,b,c} directly.
 A graph is stored in sorted order: a dict from each vertex to its position
 among the vertices sorted by id (:meth:`Multigraph.position`, the row of
 the vertex in every Laplacian), and a dict of its edges sorted by id.  Only
-the constructor, ``identify`` and ``delete_vertex`` sort or renumber; every
-other surgery shares its parent's vertex positions and filters or re-maps
-the parent's edges, which keeps their order, without re-running the
-constructor's checks.
+the constructor, ``identify``, ``contract_edge`` and ``delete_vertex`` sort
+or renumber; every other surgery shares its parent's vertex positions and
+filters or re-maps the parent's edges, which keeps their order, without
+re-running the constructor's checks.
 
 A graph never changes, so it computes its incidence lists, its
 connectivity, its hash and each edge's bridge answer once, on first use, and
@@ -127,14 +127,8 @@ class Multigraph:
     ):
         vs = set(vertices)
         es: Dict[EdgeId, Edge] = {}
-        for spec in edges:
-            if isinstance(spec, Edge):
-                e = spec
-            else:
-                eid, u, v, *rest = spec
-                e = Edge(eid, u, v, rest[0] if rest else 1)
-            if not isinstance(e.length, Fraction):
-                e = e._replace(length=rational(e.length))
+        for eid, u, v, *rest in edges:
+            e = Edge(eid, u, v, rational(rest[0]) if rest else _ONE)
             if e.id in es:
                 raise GraphError(f"duplicate edge id {e.id!r}")
             if e.u not in vs or e.v not in vs:
@@ -386,9 +380,9 @@ class Multigraph:
         The groups must be nonempty and disjoint.  Edges with both endpoints
         in one group become self-loops; the edge multiset is otherwise
         preserved.  Returns the new graph and a rename map defined on every
-        vertex of the original graph.  The result is remembered per equal
-        graph and partition, singleton groups dropped, and every call returns
-        its own copy of the rename map.
+        vertex of the original graph.  A singleton group changes nothing.
+        The result is remembered per equal graph and partition, and every
+        call returns its own copy of the rename map.
         """
         parts = [tuple(group) for group in partition]
         seen: Set[VertexId] = set()
@@ -400,7 +394,7 @@ class Multigraph:
             seen.update(group)
         for v in (v for group in parts for v in group):
             self.position(v)
-        groups = frozenset(g for g in map(frozenset, parts) if len(g) > 1)
+        groups = frozenset(map(frozenset, parts))
         graph, renames = remember(
             ("identify", self, groups), lambda: self._identified_by(groups)
         )
@@ -408,7 +402,7 @@ class Multigraph:
 
     def _identified_by(self, groups: frozenset) -> tuple:
         renames: Dict[VertexId, VertexId] = {v: v for v in self._index}
-        for group in groups:
+        for group in (g for g in groups if len(g) > 1):
             merged = MergedVertex(group)
             for v in group:
                 renames[v] = merged
@@ -421,22 +415,15 @@ class Multigraph:
     def contract_edge(
         self, e: EdgeId
     ) -> Tuple["Multigraph", Dict[VertexId, VertexId]]:
-        """Contract the edge: remove it and identify its endpoints.
+        """Contract the edge: remove it and identify its endpoints, keeping
+        nothing in a memo.
 
-        Parallel edges between the endpoints become self-loops.  Contracting
-        a self-loop is defined as deleting it.
+        Parallel edges between the endpoints become self-loops.  A self-loop's
+        ends form a singleton group, so contracting it deletes it, with the
+        identity rename map.
         """
-        ed = self.edge(e)
-        return self.delete_edge(e)._identify_ends(ed)
-
-    def _identify_ends(
-        self, ed: Edge
-    ) -> Tuple["Multigraph", Dict[VertexId, VertexId]]:
-        """This graph, which is G - ed, with ed's ends identified: the
-        contraction G / ed.  For a self-loop that is this graph itself."""
-        if ed.is_loop():
-            return self, {v: v for v in self._index}
-        return self.identify([(ed.u, ed.v)])
+        ends = frozenset(self.endpoints(e))
+        return self.delete_edge(e)._identified_by(frozenset([ends]))
 
     # -- hashing / serialization -----------------------------------------
 

@@ -1,7 +1,8 @@
 """Integer polynomial sequences behind fan and wheel tree counts.
 
 Covers the Morgan-Voyce family B_n, whose values count fan spanning trees,
-and the companion family W_n, whose values count wheel spanning trees.
+and the companion family W_n, whose values count wheel spanning trees.  Each
+runs its recurrence at the point it is given: an int, or ``X`` for the polynomial.
 """
 
 from __future__ import annotations
@@ -75,14 +76,15 @@ def _as_poly(v) -> IntPolynomial:
 
 
 X = IntPolynomial((0, 1))
+Point = Union[int, IntPolynomial]  # an int gives a value, X the polynomial
 
 
-def _recurrence(n: int, a0, a1, step, sign: int, shift: int = 0):
-    """x_n of the second-order recurrence x_0 = a0, x_1 = a1,
-    x_k = step * x_{k-1} + sign * x_{k-2} + shift."""
+def _recurrence(n: int, a1, step, sign: int, shift: int = 0):
+    """x_n of the second-order recurrence x_0 = 1, x_1 = a1,
+    x_k = step * x_{k-1} + sign * x_{k-2} + shift, in the ring of ``step``."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    prev, cur = a0, a1
+    prev, cur = 0 * step + 1, a1
     if n == 0:
         return prev
     for _ in range(n - 1):
@@ -90,11 +92,11 @@ def _recurrence(n: int, a0, a1, step, sign: int, shift: int = 0):
     return cur
 
 
-def morgan_voyce(n: int) -> IntPolynomial:
-    """B_n: B_0 = 1, B_1 = 2 + x, B_n = (x + 2) B_{n-1} - B_{n-2}."""
-    return _recurrence(n, IntPolynomial((1,)), X + 2, X + 2, -1)
+def morgan_voyce(n: int, x: Point) -> Point:
+    """B_n at x: B_0 = 1, B_1 = x + 2, B_n = (x + 2) B_{n-1} - B_{n-2}."""
+    return _recurrence(n, x + 2, x + 2, -1)
 
 
-def w_poly(n: int) -> IntPolynomial:
-    """W_n: W_0 = 1, W_1 = x + 4, W_n = (x + 2) W_{n-1} - W_{n-2} + 2."""
-    return _recurrence(n, IntPolynomial((1,)), X + 4, X + 2, -1, 2)
+def w_poly(n: int, x: Point) -> Point:
+    """W_n at x: W_0 = 1, W_1 = x + 4, W_n = (x + 2) W_{n-1} - W_{n-2} + 2."""
+    return _recurrence(n, x + 4, x + 2, -1, 2)

@@ -131,7 +131,7 @@ class Network:
 
     def contracted(self, e: EdgeId) -> Tuple["Network", Dict]:
         """Network with the edge contracted, plus the vertex rename map."""
-        g, renames = self._cut_graph(e)._identify_ends(self.graph.edge(e))
+        g, renames = self._cut_graph(e).identify([self.graph.endpoints(e)])
         return Network(g), renames
 
 
@@ -154,13 +154,12 @@ class EulerTerm(NamedTuple):
     contribution: Fraction
 
 
-def _cut(net: Network, e: EdgeId, law: str = ""):
-    """Cut-graph data of the edge e = (p, q): the network G - e, its
-    resistance R_e = r'(p, q) and the voltage x -> j'_p(q, x).  With ``law``
-    named, a bridge violates that law's hypothesis."""
+def _cut(net: Network, e: EdgeId):
+    """Cut-graph data of the non-bridge edge e = (p, q): the network G - e,
+    its resistance R_e = r'(p, q) and the voltage x -> j'_p(q, x)."""
     ed = net.graph.edge(e)
-    if law and net.graph.is_bridge(e):
-        raise PreconditionError(f"edge is a bridge; {law} needs a non-bridge edge")
+    if net.graph.is_bridge(e):
+        raise PreconditionError(f"edge {e!r} is a bridge; the law needs a non-bridge")
     deleted = net.deleted(e)
     return deleted, deleted.resistance(ed.u, ed.v), partial(deleted.voltage, ed.u, ed.v)
 
@@ -245,7 +244,7 @@ def cutting_delta(
 ) -> DeltaResult:
     """Cutting law: deleting a non-bridge edge raises r(s, t) by exactly
     (j'_p(q,s) - j'_p(q,t))^2 / (L + R), primes taken in the cut graph."""
-    deleted, big_r, j = _cut(net, e, "the cutting law")
+    deleted, big_r, j = _cut(net, e)
     diff = j(s) - j(t)
     return DeltaResult(
         net.resistance(s, t),
@@ -300,7 +299,7 @@ def convex_combination_check(
     """Residual of r(s,t) = L/(L+R) * r_cut(s,t) + R/(L+R) * r_contracted(s,t)
     for a non-bridge edge; must be zero."""
     length = net.graph.length(e)
-    deleted, big_r, _ = _cut(net, e, "the combination law")
+    deleted, big_r, _ = _cut(net, e)
     contracted, ren = net.contracted(e)
     mix = (
         length * deleted.resistance(s, t)
@@ -332,7 +331,7 @@ def voltage_transfer_cutting(
 ) -> Fraction:
     """Residual of the voltage transfer law under deletion of a non-bridge
     edge; must be zero."""
-    deleted, big_r, j = _cut(net, e, "voltage transfer")
+    deleted, big_r, j = _cut(net, e)
     return (
         net.voltage(u, t, s)
         - deleted.voltage(u, t, s)
@@ -349,7 +348,7 @@ def voltage_transfer_contraction(
     ed = net.graph.edge(e)
     corr = Fraction(0)
     if not ed.is_loop():
-        _, big_r, j = _cut(net, e, "voltage transfer")
+        _, big_r, j = _cut(net, e)
         corr = ed.length * (j(u) - j(t)) * (j(u) - j(s)) / (big_r * (ed.length + big_r))
     contracted, ren = net.contracted(e)
     return net.voltage(u, t, s) - contracted.voltage(ren[u], ren[t], ren[s]) - corr

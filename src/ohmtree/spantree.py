@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, count
 from math import prod
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .exactnum import Matrix, remember
 from .graph import (
@@ -73,8 +73,9 @@ def count_deletion_contraction(graph: Multigraph) -> int:
     maximum-degree vertex.  Only a deletion can create a bridge, so only the
     root and the deletion branch are searched for one.  Connectivity is
     checked once, at the root: a disconnected graph has no spanning tree, and
-    the recursion deletes only non-bridges.  No memoization; on a
-    connected graph the recursion visits 2 t(G) - 1 nodes, and it raises
+    the recursion deletes only non-bridges.  Nothing is memoized, not even
+    by ``contract_edge``: a count keeps none of its graphs.  On a connected
+    graph the recursion visits 2 t(G) - 1 nodes, and it raises
     :class:`PreconditionError` past ``DC_NODE_BUDGET`` of them.
     """
     if graph.n == 0:
@@ -93,20 +94,14 @@ def count_deletion_contraction(graph: Multigraph) -> int:
         while may_bridge and (
             bridge := next((e for e in g.edge_ids() if g.is_bridge(e)), None)
         ) is not None:
-            g = _without_loops(_contracted(g, bridge))
+            g = _without_loops(g.contract_edge(bridge)[0])
         if g.m == 0:
             total += 1  # connected without edges: a single vertex
             continue
         busiest = max(g.sorted_vertices(), key=lambda v: (g.degree(v), g.position(v)))
         e = g.incident(busiest)[0]  # incidence lists are in sorted id order
-        pending += [(g.delete_edge(e), True), (_contracted(g, e), False)]
+        pending += [(g.delete_edge(e), True), (g.contract_edge(e)[0], False)]
     return total
-
-
-def _contracted(g: Multigraph, e: EdgeId) -> Multigraph:
-    """G / e for a non-loop edge, identified without ``exactnum.remember``,
-    so a count inside ``exactnum.remembering()`` keeps none of its graphs."""
-    return g.delete_edge(e)._identified_by(frozenset([frozenset(g.endpoints(e))]))[0]
 
 
 def count_enumeration(graph: Multigraph) -> int:
@@ -176,8 +171,7 @@ def identified_count(graph: Multigraph, *groups: Sequence[VertexId]) -> int:
 def contracted_count(graph: Multigraph, e: EdgeId) -> int:
     """t of the graph with edge e contracted: G - e with e's ends identified,
     so a self-loop counts as zero by the identified-count convention."""
-    u, v = graph.endpoints(e)
-    return 0 if u == v else identified_count(graph.delete_edge(e), (u, v))
+    return identified_count(graph.delete_edge(e), graph.endpoints(e))
 
 
 def resistance_from_trees(graph: Multigraph, p: VertexId, q: VertexId) -> Fraction:
@@ -204,19 +198,19 @@ def _require_unit(graph: Multigraph) -> None:
         raise PreconditionError("tree-count formulas need unit edge lengths")
 
 
-def averaging_contractions(graph: Multigraph) -> Tuple[int, int]:
-    """Contraction averaging: (n - 1) t(G) equals the sum over edges of the
-    contracted counts.  Returns (t(G), residual); residual must be 0."""
+def averaging_contractions(graph: Multigraph) -> int:
+    """Residual of contraction averaging: (n - 1) t(G) equals the sum over
+    edges of the contracted counts; must be 0."""
     if not graph.is_connected():
         raise DisconnectedError("graph must be connected")
     t = count_matrix_tree(graph)
     total = sum(contracted_count(graph, e) for e in graph.edge_ids())
-    return t, (graph.n - 1) * t - total
+    return (graph.n - 1) * t - total
 
 
-def averaging_deletions(graph: Multigraph) -> Tuple[int, int]:
-    """Deletion averaging on bridgeless graphs: g t(G) equals the sum over
-    edges of t(G - e).  Returns (t(G), residual)."""
+def averaging_deletions(graph: Multigraph) -> int:
+    """Residual of deletion averaging on bridgeless graphs: g t(G) equals the
+    sum over edges of t(G - e); must be 0."""
     if not graph.is_connected():
         raise DisconnectedError("graph must be connected")
     if graph.bridges():
@@ -225,7 +219,7 @@ def averaging_deletions(graph: Multigraph) -> Tuple[int, int]:
     total = sum(
         count_matrix_tree(graph.delete_edge(e)) for e in graph.edge_ids()
     )
-    return t, graph.genus() * t - total
+    return graph.genus() * t - total
 
 
 # -- composition formulas (pure integer arithmetic) -------------------------
@@ -243,13 +237,6 @@ def union_two_vertices(t1: int, t1pq: int, t2: int, t2pq: int) -> int:
     """Trees of two graphs glued along two vertices p, q:
     t1 * t2pq + t2 * t1pq."""
     return t1 * t2pq + t2 * t1pq
-
-
-def path_attachment(t1: int, t1pq: int, k: int) -> int:
-    """Gluing a k-edge path across p, q: k * t1 + t1pq."""
-    if k < 2:
-        raise GraphError("path attachment needs k >= 2 edges")
-    return k * t1 + t1pq
 
 
 def union_k_banana(t_list: Sequence[int], tpq_list: Sequence[int]) -> int:
@@ -339,22 +326,14 @@ def _subsets(weighted: Sequence[Tuple[VertexId, int]], smallest: int):
             yield tuple(v for v, _ in subset), prod(a for _, a in subset)
 
 
-class ExpansionTerm(NamedTuple):
-    subset: tuple  # neighbor vertices identified together
-    coefficient: int  # product of the edge multiplicities
-    count: int  # trees of the reduced graph with the subset identified
-
-
-def vertex_deletion_count(
-    graph: Multigraph, u: VertexId
-) -> Tuple[int, List[ExpansionTerm]]:
+def vertex_deletion_count(graph: Multigraph, u: VertexId) -> int:
     """Expand t(G) over the deletion of a non-cut vertex u:
 
         t(G) = (sum a_i) t(H) + sum over subsets S of N(u), |S| >= 2,
                of (prod of the a_i in S) t(H with S identified),
 
     where H = G - u and a_i is the number of parallel edges from u to its
-    i-th neighbor.  Returns the total and the term-by-term report; raises
+    i-th neighbor.  Returns the total; raises
     :class:`PreconditionError` past ``VERTEX_DEL_SUBSET_BUDGET`` subsets.
     """
     graph.position(u)
@@ -369,12 +348,10 @@ def vertex_deletion_count(
         raise PreconditionError(
             f"vertex-del budget exceeded: {subsets} > {VERTEX_DEL_SUBSET_BUDGET} subsets"
         )
-    terms = [ExpansionTerm((), sum(a for _, a in neighbors), count_matrix_tree(h))]
-    terms += (
-        ExpansionTerm(vs, coeff, identified_count(h, vs))
-        for vs, coeff in _subsets(neighbors, 2)
-    )
-    return sum(x.coefficient * x.count for x in terms), terms
+    total = sum(a for _, a in neighbors) * count_matrix_tree(h)
+    for vs, coeff in _subsets(neighbors, 2):
+        total += coeff * identified_count(h, vs)
+    return total
 
 
 def star_augmentation_count(
@@ -530,9 +507,9 @@ def closed_form(family: str, n: int, a: int = 1) -> int:
     if family == "complete":
         return n ** (n - 2) if n >= 2 else 1
     if family == "fan":
-        return a * morgan_voyce(n - 1)(a)
+        return a * morgan_voyce(n - 1, a)
     if family == "wheel":
-        return a * w_poly(n - 1)(a)
+        return a * w_poly(n - 1, a)
     raise GraphError(f"unknown family {family!r}")
 
 

@@ -289,10 +289,10 @@ def _foster(net, rng):
 
 def _averaging(net, rng):
     g = net.graph
-    out = [("contractions", spantree.averaging_contractions(g)[1], None)]
+    out = [("contractions", spantree.averaging_contractions(g), None)]
     if g.bridges():
         return out + [None]
-    return out + [("deletions", spantree.averaging_deletions(g)[1], None)]
+    return out + [("deletions", spantree.averaging_deletions(g), None)]
 
 
 # parts for the union laws (n range, m range, parallel, loop, lengths)
@@ -337,11 +337,12 @@ def _unions(net, rng):
     glued = spantree.union_at(g1, [p1, q1], g2, [p2, q2])
     check("two-vertex", glued, spantree.union_two_vertices(t1, t1pq, t2, t2pq))
 
-    # path glued across two vertices of the same g1, counted afresh
+    # path glued across two vertices of the same g1, counted afresh: a
+    # k-edge path has 1 tree, and k once its ends are identified
     k = rng.randint(2, 4)
     glued = spantree.union_at(g1, [p1, q1], path_graph(k + 1), ["v1", f"v{k + 1}"])
     (t1,), (t1pq,) = _counts(pair[:1])
-    check("path-attach", glued, spantree.path_attachment(t1, t1pq, k))
+    check("path-attach", glued, spantree.union_two_vertices(t1, t1pq, 1, k))
 
     # k parts sharing the same two vertices, then a ring of parts
     for label, glue, law in (
@@ -390,7 +391,7 @@ def _eval_vertex_del(graph, rng, samples, exhaustive):
     candidates = spantree.removable_vertices(unit)
     chosen = candidates if exhaustive else candidates[: max(1, samples // 2)]
     for u in chosen:
-        total, _ = spantree.vertex_deletion_count(unit, u)
+        total = spantree.vertex_deletion_count(unit, u)
         out.append((f"u={u}", Fraction(t_direct - total), None))
         neighbors = unit.neighbors_with_multiplicity(u)
         h = unit.delete_vertex(u)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from ohmtree import exactnum
+from ohmtree.exactnum import remembering
 from ohmtree.graph import (
     GraphError,
     MergedVertex,
@@ -81,6 +83,12 @@ def test_contract_edge():
     g2, ren = g.contract_edge("l")
     assert g2.m == 0 and ren == {"a": "a"}
 
+    # a contraction is not remembered, even inside a memo scope
+    with remembering():
+        before = len(exactnum._memo)
+        complete_graph(4).contract_edge("e1")
+        assert len(exactnum._memo) == before
+
 
 def test_identify_basic():
     p2 = path_graph(2)
@@ -134,11 +142,12 @@ def test_contract_equals_delete_then_identify():
         g = random_graph(rng)
         for e in g.edge_ids():
             ed = g.edge(e)
-            if ed.is_loop():
-                continue
-            via_contract, _ = g.contract_edge(e)
+            via_contract, ren = g.contract_edge(e)
             via_identify, _ = g.delete_edge(e).identify([(ed.u, ed.v)])
             assert via_contract == via_identify
+            if ed.is_loop():  # the deletion itself, nothing renamed
+                assert via_contract == g.delete_edge(e)
+                assert ren == {v: v for v in g.vertices()}
 
 
 def test_total_length_bookkeeping():

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from ohmtree.polyseq import IntPolynomial, morgan_voyce, w_poly
+from ohmtree.polyseq import X, IntPolynomial, morgan_voyce, w_poly
 
 
 def test_polynomial_arithmetic():
@@ -37,38 +37,38 @@ def test_eval_is_exact():
 
 
 def test_morgan_voyce_small_values():
-    assert morgan_voyce(0).coeffs == (1,)
-    assert morgan_voyce(1).coeffs == (2, 1)
-    assert morgan_voyce(2).coeffs == (3, 4, 1)
-    assert morgan_voyce(3).coeffs == (4, 10, 6, 1)
-    assert morgan_voyce(4).coeffs == (5, 20, 21, 8, 1)
+    assert morgan_voyce(0, X).coeffs == (1,)
+    assert morgan_voyce(1, X).coeffs == (2, 1)
+    assert morgan_voyce(2, X).coeffs == (3, 4, 1)
+    assert morgan_voyce(3, X).coeffs == (4, 10, 6, 1)
+    assert morgan_voyce(4, X).coeffs == (5, 20, 21, 8, 1)
     with pytest.raises(ValueError):
-        morgan_voyce(-1)
+        morgan_voyce(-1, X)
 
 
 def test_morgan_voyce_closed_form_coefficients():
     for n in range(31):
-        coeffs = morgan_voyce(n).coeffs
+        coeffs = morgan_voyce(n, X).coeffs
         for k in range(n + 1):
             assert coeffs[k] == comb(n + k + 1, n - k)
 
 
 def test_w_poly_small_values():
-    assert w_poly(0).coeffs == (1,)
-    assert w_poly(1).coeffs == (4, 1)
-    assert w_poly(2).coeffs == (9, 6, 1)
-    assert w_poly(3).coeffs == (16, 20, 8, 1)
-    assert w_poly(4).coeffs == (25, 50, 35, 10, 1)
+    assert w_poly(0, X).coeffs == (1,)
+    assert w_poly(1, X).coeffs == (4, 1)
+    assert w_poly(2, X).coeffs == (9, 6, 1)
+    assert w_poly(3, X).coeffs == (16, 20, 8, 1)
+    assert w_poly(4, X).coeffs == (25, 50, 35, 10, 1)
 
 
 def test_w_poly_closed_form_coefficients():
     for n in range(31):
-        coeffs = w_poly(n).coeffs
+        coeffs = w_poly(n, X).coeffs
         for k in range(n + 1):
             expected = (2 * n + 2) * comb(n + 2 + k, n - k) // (n + 2 + k)
             assert coeffs[k] == expected
 
 
 def test_eval_examples():
-    assert morgan_voyce(2)(1) == 8
-    assert w_poly(2)(1) == 16
+    assert morgan_voyce(2, X)(1) == morgan_voyce(2, 1) == 8
+    assert w_poly(2, X)(1) == w_poly(2, 1) == 16

@@ -19,6 +19,7 @@ from ohmtree.graph import (
     path_graph,
     wheel_graph,
 )
+from ohmtree.polyseq import IntPolynomial
 from ohmtree.resistnet import Network
 from ohmtree.spantree import (
     add_star_edges,
@@ -35,7 +36,6 @@ from ohmtree.spantree import (
     deletion_identity,
     identification_quadratic,
     identified_count,
-    path_attachment,
     removable_vertices,
     resistance_from_trees,
     spanning_tree_euler,
@@ -157,8 +157,7 @@ def test_four_way_agreement():
         u = next(
             v for v in g.sorted_vertices() if g.delete_vertex(v).is_connected()
         )
-        total, _ = vertex_deletion_count(g, u)
-        assert total == t
+        assert vertex_deletion_count(g, u) == t
 
 
 def test_loop_insensitivity_and_parallel_additivity():
@@ -245,13 +244,12 @@ def test_foster_sum():
 
 def test_averaging_contractions():
     for g in (complete_graph(4), cycle_graph(3), path_graph(5)):
-        t, residual = averaging_contractions(g)
-        assert residual == 0
+        assert averaging_contractions(g) == 0
     k4 = complete_graph(4)
     assert all(
         spantree.contracted_count(k4, e) == 8 for e in k4.edge_ids()
     )  # 2 * 4^(4-3)
-    t, residual = averaging_contractions(
+    residual = averaging_contractions(
         Multigraph(["a", "b"], [("e", "a", "b"), ("l", "a", "a")])
     )
     assert residual == 0  # the loop contributes a zero term
@@ -259,8 +257,7 @@ def test_averaging_contractions():
 
 def test_averaging_deletions():
     for g in (complete_graph(4), cycle_graph(3), banana_graph(3)):
-        t, residual = averaging_deletions(g)
-        assert residual == 0
+        assert averaging_deletions(g) == 0
     k4 = complete_graph(4)
     assert all(
         count_matrix_tree(k4.delete_edge(e)) == 8 for e in k4.edge_ids()
@@ -283,7 +280,8 @@ def test_union_formula_vectors():
         union_cut_vertex([])
     assert union_two_vertices(1, 3, 2, 6) == 12
     assert union_two_vertices(8, 8, 13, 21) == 272
-    assert path_attachment(5, 7, 3) == 22
+    # a 3-edge path glued across p, q: 1 tree, 3 with its ends identified
+    assert union_two_vertices(5, 7, 1, 3) == 22
 
 
 def test_union_k_banana():
@@ -388,23 +386,23 @@ def test_union_constructions_match_counts():
             identified_count(g2, (p2, q2)),
         )
         assert count_matrix_tree(glued2) == expected
-        k = rng.randint(2, 4)
-        glued3 = union_at(g1, [p1, q1], path_graph(k + 1), ["v1", f"v{k+1}"])
-        assert count_matrix_tree(glued3) == path_attachment(
-            count_matrix_tree(g1), identified_count(g1, (p1, q1)), k
-        )
+        for k in (1, rng.randint(2, 4)):
+            glued3 = union_at(g1, [p1, q1], path_graph(k + 1), ["v1", f"v{k+1}"])
+            assert count_matrix_tree(glued3) == union_two_vertices(
+                count_matrix_tree(g1), identified_count(g1, (p1, q1)), 1, k
+            )
 
 
 def test_vertex_deletion_count_k4():
     k4 = wheel_graph(3)  # same graph as the 4-vertex complete graph
-    total, terms = vertex_deletion_count(k4, "apex")
-    assert total == 16
-    lead = terms[0]
-    assert lead.subset == () and lead.coefficient == 3 and lead.count == 3
-    pair_terms = [t for t in terms if len(t.subset) == 2]
-    assert sorted(t.count for t in pair_terms) == [2, 2, 2]
-    (triple,) = [t for t in terms if len(t.subset) == 3]
-    assert triple.count == 1 and triple.coefficient == 1
+    assert vertex_deletion_count(k4, "apex") == 16
+    # the terms of 16 = 3 * 3 + 2 + 2 + 2 + 1, over H = K4 - apex, a triangle
+    assert sum(a for _, a in k4.neighbors_with_multiplicity("apex")) == 3
+    h = k4.delete_vertex("apex")
+    assert count_matrix_tree(h) == 3
+    rim = h.sorted_vertices()
+    assert [identified_count(h, pair) for pair in combinations(rim, 2)] == [2, 2, 2]
+    assert identified_count(h, rim) == 1
 
 
 def test_vertex_deletion_two_neighbors_reduces():
@@ -414,7 +412,7 @@ def test_vertex_deletion_two_neighbors_reduces():
         set(g.vertices()) | {"u"},
         list(g.edges()) + [("s1", "u", "v1", 1), ("s2", "u", "v1", 1), ("s3", "u", "v3", 1)],
     )
-    total, _ = vertex_deletion_count(g, "u")
+    total = vertex_deletion_count(g, "u")
     h = g.delete_vertex("u")
     a, b = 2, 1
     expected = (a + b) * count_matrix_tree(h) + a * b * identified_count(
@@ -469,7 +467,7 @@ def test_vertex_deletion_errors():
 def test_vertex_deletion_subset_budget(monkeypatch):
     # four neighbours of v1 in K5: 2^4 - 4 - 1 = 11 subsets of two or more
     monkeypatch.setattr(spantree, "VERTEX_DEL_SUBSET_BUDGET", 11)
-    assert vertex_deletion_count(complete_graph(5), "v1")[0] == 125
+    assert vertex_deletion_count(complete_graph(5), "v1") == 125
     monkeypatch.setattr(spantree, "VERTEX_DEL_SUBSET_BUDGET", 10)
     with pytest.raises(PreconditionError, match="budget"):
         vertex_deletion_count(complete_graph(5), "v1")
@@ -488,11 +486,9 @@ def test_vertex_deletion_fan_and_wheel():
     for n in (2, 3, 4):
         for a in (1, 2):
             fan = fan_graph(n, a)
-            total, _ = vertex_deletion_count(fan, "apex")
-            assert total == count_matrix_tree(fan)
+            assert vertex_deletion_count(fan, "apex") == count_matrix_tree(fan)
             wheel = wheel_graph(n, a)
-            total, _ = vertex_deletion_count(wheel, "apex")
-            assert total == count_matrix_tree(wheel)
+            assert vertex_deletion_count(wheel, "apex") == count_matrix_tree(wheel)
 
 
 def test_star_augmentation():
@@ -603,15 +599,28 @@ def test_closed_forms_match_constructions():
             assert closed_form("wheel", n, a) == count_matrix_tree(wheel_graph(n, a))
 
 
+def test_closed_forms_evaluate_the_polynomials():
+    # B_n and W_n from their coefficient formulas, which test_polyseq checks
+    # against the recurrences, evaluated at a
+    for n in range(200):
+        fan = IntPolynomial([comb(n + k + 1, n - k) for k in range(n + 1)])
+        wheel = IntPolynomial(
+            [(2 * n + 2) * comb(n + 2 + k, n - k) // (n + 2 + k) for k in range(n + 1)]
+        )
+        for a in (1, 2, 3):
+            assert closed_form("fan", n + 1, a) == a * fan(a)
+            assert closed_form("wheel", n + 1, a) == a * wheel(a)
+
+
 def test_fan_and_wheel_counts_are_fibonacci_and_lucas_numbers():
     # t(fan_n) = B_{n-1}(1) = F(2n) and t(wheel_n) = W_{n-1}(1) = L(2n) - 2,
     # F and L the Fibonacci and Lucas numbers, by x B_n(x^2) = F_{2n+2}(x)
     # and x^2 W_n(x^2) = L_{2n+2}(x) - 2 at x = 1
     fib, luc = [0, 1], [2, 1]
-    while len(fib) <= 60:
+    while len(fib) <= 400:
         fib.append(fib[-1] + fib[-2])
         luc.append(luc[-1] + luc[-2])
-    for n in range(1, 31):
+    for n in range(1, 201):
         assert closed_form("fan", n) == fib[2 * n]
         assert closed_form("wheel", n) == luc[2 * n] - 2
 
